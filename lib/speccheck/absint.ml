@@ -1,5 +1,4 @@
 module Action = Damd_core.Action
-module G = Damd_graph.Graph
 module Obs = Damd_obs.Obs
 module Clock = Damd_obs.Clock
 module Json = Damd_util.Json
@@ -266,507 +265,6 @@ let flow_findings (ir : Ir.t) (fl : flow) =
           | _ -> []))
     fl.fl_summaries
 
-(* ---- the two-seat abstract machine --------------------------------------
-
-   [Explore] runs the n-seat product; here we run its abstraction: the
-   deviant seat plus ONE faithful representative (faithful seats are
-   symmetric, so one representative preserves barrier structure, escape
-   possibility, and stall wedges, while depths only shrink — the frontier
-   soundness argument of DESIGN.md §17). Everything else mirrors
-   [Explore.run_scenario] move for move: eligibility, the checkpoint
-   barrier, acted/evidence bits, omission stalls, reentry pruning, and
-   the deadlock case split. *)
-
-type mach = {
-  states : string array;
-  sugg_id : string option array;
-  action_of : Ir.action option array;
-  dst_of : int array;
-  phase_of : int array;
-  nphases : int;
-  phase_names : string array;
-  certifiers : string option array;
-  dev_lbl : string array;
-  cp_lbl : string array;
-}
-
-let build (ir : Ir.t) =
-  let states = Array.of_list ir.Ir.states in
-  let idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i s -> if not (Hashtbl.mem idx s) then Hashtbl.add idx s i)
-    states;
-  let ns = Array.length states in
-  let sugg_id = Array.make ns None in
-  let action_of = Array.make ns None in
-  let dst_of = Array.init ns (fun i -> i) in
-  (* first-binding tables replace the per-state linear scans of
-     [suggested_action] / [find_action] / [step] *)
-  let sugg_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (s, aid) ->
-      if not (Hashtbl.mem sugg_tbl s) then Hashtbl.add sugg_tbl s aid)
-    ir.Ir.suggested;
-  let act_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (a : Ir.action) ->
-      if not (Hashtbl.mem act_tbl a.Ir.id) then Hashtbl.add act_tbl a.Ir.id a)
-    ir.Ir.actions;
-  let step_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (t : Ir.transition) ->
-      let key = t.Ir.src ^ "\x00" ^ t.Ir.act in
-      if not (Hashtbl.mem step_tbl key) then Hashtbl.add step_tbl key t.Ir.dst)
-    ir.Ir.transitions;
-  Array.iteri
-    (fun i s ->
-      match Hashtbl.find_opt sugg_tbl s with
-      | None -> ()
-      | Some aid ->
-          sugg_id.(i) <- Some aid;
-          action_of.(i) <- Hashtbl.find_opt act_tbl aid;
-          dst_of.(i) <-
-            (match Hashtbl.find_opt step_tbl (s ^ "\x00" ^ aid) with
-            | Some d -> (
-                match Hashtbl.find_opt idx d with Some j -> j | None -> i)
-            | None -> i))
-    states;
-  let phases = Array.of_list ir.Ir.phases in
-  let phase_of = Array.make ns (-1) in
-  Array.iteri
-    (fun pi (p : Ir.phase) ->
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt idx s with
-          | Some i when phase_of.(i) = -1 -> phase_of.(i) <- pi
-          | _ -> ())
-        p.Ir.members)
-    phases;
-  let phase_names = Array.map (fun (p : Ir.phase) -> p.Ir.pname) phases in
-  {
-    states;
-    sugg_id;
-    action_of;
-    dst_of;
-    phase_of;
-    nphases = Array.length phases;
-    phase_names;
-    certifiers =
-      Array.map
-        (fun (p : Ir.phase) ->
-          match p.Ir.checkpoint with
-          | Some c -> Some (Rule.to_string c.Ir.certifier)
-          | None -> None)
-        phases;
-    dev_lbl =
-      Array.map
-        (function Some aid -> "deviant!" ^ aid | None -> "deviant!")
-        sugg_id;
-    cp_lbl = Array.map (fun p -> "[checkpoint " ^ p ^ "]") phase_names;
-  }
-
-(* An abstract state is the tuple (dev, f, ph, acted, evid): the deviant
-   seat's chain position (-1 = no deviant in this job), the faithful
-   representative's position, the phase cursor, and the §4.3 acted/evid
-   bitsets. It is packed into an immediate int when the layout fits one
-   word (it always does for catalogue-sized IRs); otherwise the rendered
-   key is interned. *)
-let fits_int ~ns ~nphases =
-  let shift = 2 * nphases in
-  shift < 60
-  &&
-  let span = (ns + 2) * (ns + 2) * (nphases + 2) in
-  span > 0 && span <= max_int asr shift
-
-let pack_int ~ns ~nphases dev f ph acted evid =
-  let pos = (((dev + 1) * (ns + 2)) + f + 1) * (nphases + 2) in
-  ((pos + ph) lsl (2 * nphases)) lor (acted lsl nphases) lor evid
-
-(* fallback for IRs past the int-packing envelope: render the state and
-   intern the string to a dense int key, so the runner stays int-keyed *)
-let pack_interned () =
-  let intern = Hashtbl.create 64 in
-  let next = ref 0 in
-  fun dev f ph acted evid ->
-    let s = Printf.sprintf "%d/%d/%d/%d/%d" dev f ph acted evid in
-    match Hashtbl.find_opt intern s with
-    | Some i -> i
-    | None ->
-        let i = !next in
-        incr next;
-        Hashtbl.add intern s i;
-        i
-
-type ajob = {
-  aj_label : string;
-  aj_has_deviant : bool;
-  aj_stall : bool;
-  aj_targets : bool array;
-  aj_covered : bool array;
-  aj_faithful : bool;
-}
-
-type aout = {
-  ao_escape : string option;
-  ao_timeout : int option;
-  ao_lag : int;
-  ao_certifier : string option;
-  ao_cert_phase : int;  (* phase index of the winning lag; -1 = none *)
-  ao_acted : bool;
-  ao_truncated : bool;
-  ao_states : int;
-  ao_findings : Check.finding list;
-}
-
-(* A small open-addressed int set: the visited table is the hottest
-   structure in the abstract BFS, and Hashtbl's bucket lists cost an
-   allocation per insert. Keys are the packed states, always >= 0, so
-   -1 marks an empty slot. Linear probing at <= 50% load. *)
-module Intset = struct
-  type t = { mutable slots : int array; mutable used : int }
-
-  let create () = { slots = Array.make 128 (-1); used = 0 }
-
-  (* make the set empty again without losing the allocation; a set that
-     ballooned in one job is shrunk back so later resets stay cheap *)
-  let reset t =
-    if Array.length t.slots > 4096 then t.slots <- Array.make 128 (-1)
-    else Array.fill t.slots 0 (Array.length t.slots) (-1);
-    t.used <- 0
-
-  let mix k =
-    let h = k * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 29)
-
-  let slot_of slots k =
-    let mask = Array.length slots - 1 in
-    let i = ref (mix k land mask) in
-    while
-      let s = slots.(!i) in
-      s <> -1 && s <> k
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow t =
-    let old = t.slots in
-    t.slots <- Array.make (2 * Array.length old) (-1);
-    Array.iter
-      (fun k -> if k >= 0 then t.slots.(slot_of t.slots k) <- k)
-      old
-
-  (* membership test and insert in one probe; true when k was absent *)
-  let add t k =
-    let i = slot_of t.slots k in
-    if t.slots.(i) = k then false
-    else begin
-      t.slots.(i) <- k;
-      t.used <- t.used + 1;
-      if 2 * t.used >= Array.length t.slots then grow t;
-      true
-    end
-end
-
-(* Per-run scratch shared across jobs: the visited set and the frontier
-   block survive from scenario to scenario (a reset instead of a fresh
-   allocation each), and the coverage marks accumulate monotonically
-   across every job of the run. *)
-type scratch = {
-  sc_visited : Intset.t;
-  mutable sc_q : int array;
-  sc_covered : bool array;
-  sc_min_act : int array;
-  sc_max_cert : int array;
-  sc_cert_rule : string option array;
-  sc_no_parent : (int, int * string) Hashtbl.t;
-      (* shared read-only stand-in for the parent table on untracked runs *)
-}
-
-let scratch_create ns nphases =
-  {
-    sc_visited = Intset.create ();
-    sc_q = Array.make (64 * 8) 0;
-    sc_covered = Array.make ns false;
-    sc_min_act = Array.make (max 1 nphases) max_int;
-    sc_max_cert = Array.make (max 1 nphases) (-1);
-    sc_cert_rule = Array.make (max 1 nphases) None;
-    sc_no_parent = Hashtbl.create 1;
-  }
-
-(* [track] keeps the parent table needed to print an escape witness.
-   The fast path skips it (one table write per state saved); [run] only
-   re-runs with tracking when an escape actually fired, which is rare —
-   never on a frontier-sound spec.
-
-   The BFS is deliberately allocation-free in the hot loop: keys are
-   native ints ([pack_int], or interned strings on oversized IRs), and
-   the frontier lives in one flat growable int block (key, depth, and
-   the five state fields) instead of a queue of records — a new state
-   costs a handful of array writes, a revisit costs one table probe. *)
-let run_ascenario m ~(encode : int -> int -> int -> int -> int -> int) ~bound
-    ~initial ~track ~scratch (job : ajob) : aout =
-  (* the common packed-int case is inlined at the push site (the indirect
-     call through [encode] is measurable there); the constants must mirror
-     [pack_int] exactly so the cold paths that still call [encode] agree *)
-  let use_pack = fits_int ~ns:(Array.length m.states) ~nphases:m.nphases in
-  let mns = Array.length m.states + 2 in
-  let mnp = m.nphases + 2 in
-  let npb = m.nphases in
-  let shift = 2 * m.nphases in
-  let min_act = scratch.sc_min_act in
-  let max_cert = scratch.sc_max_cert in
-  let cert_rule = scratch.sc_cert_rule in
-  Array.fill min_act 0 (Array.length min_act) max_int;
-  Array.fill max_cert 0 (Array.length max_cert) (-1);
-  Array.fill cert_rule 0 (Array.length cert_rule) None;
-  let escape = ref None in
-  let timeout = ref None in
-  let acted_ever = ref false in
-  let truncated = ref false in
-  let covered_mark = scratch.sc_covered in
-  let findings = ref [] in
-  (* findings are rare; the dedup table is only materialised on demand *)
-  let seen = ref None in
-  let add_finding severity id location message =
-    let tbl =
-      match !seen with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 8 in
-          seen := Some t;
-          t
-    in
-    if not (Hashtbl.mem tbl (id ^ "\x00" ^ location)) then begin
-      Hashtbl.add tbl (id ^ "\x00" ^ location) ();
-      findings := { Check.id; severity; location; message } :: !findings
-    end
-  in
-  let visited = scratch.sc_visited in
-  Intset.reset visited;
-  let parent =
-    if track then Hashtbl.create 64 else scratch.sc_no_parent
-  in
-  (* the BFS frontier, one flat stride-8 block per slot: key, depth and
-     the five state fields (slot 7 is padding to keep the stride a power
-     of two). One array means one allocation and one bounds base; the
-     block survives in the scratch from job to job. *)
-  let q = ref scratch.sc_q in
-  let cap = ref (Array.length !q / 8) in
-  let count = ref 0 in
-  let head = ref 0 in
-  let enqueue k d dev f ph acted evid =
-    if !count = !cap then begin
-      let nc = 2 * !cap in
-      let b = Array.make (nc * 8) 0 in
-      Array.blit !q 0 b 0 (!cap * 8);
-      q := b;
-      cap := nc
-    end;
-    let a = !q in
-    let b = !count * 8 in
-    a.(b) <- k; a.(b + 1) <- d; a.(b + 2) <- dev; a.(b + 3) <- f;
-    a.(b + 4) <- ph; a.(b + 5) <- acted; a.(b + 6) <- evid;
-    incr count
-  in
-  let witness_of k =
-    if not track then "(witness elided on the fast pass)"
-    else
-      let rec climb k acc fuel =
-        if fuel = 0 then "…" :: acc
-        else
-          match Hashtbl.find_opt parent k with
-          | None -> acc
-          | Some (pk, lbl) -> climb pk (lbl :: acc) (fuel - 1)
-      in
-      String.concat " ; " (climb k [] 14)
-  in
-  let mark dev f =
-    if dev >= 0 then covered_mark.(dev) <- true;
-    covered_mark.(f) <- true
-  in
-  let dev0 = if job.aj_has_deviant then initial else -1 in
-  let k0 = encode dev0 initial 0 0 0 in
-  ignore (Intset.add visited k0);
-  mark dev0 initial;
-  enqueue k0 0 dev0 initial 0 0 0;
-  (* the pop cursor lives in refs shared with [push], so the closure is
-     allocated once per job instead of once per popped state *)
-  let cur_k = ref 0 in
-  let cur_d = ref 0 in
-  let cur_ph = ref 0 in
-  let progress = ref 0 in
-  (* successors are delivered inline: dedup, reentry pruning and
-     progress counting happen at the push site *)
-  let push ndev nf nph nacted nevid lbl dst =
-    let reentry =
-      dst >= 0
-      && m.phase_of.(dst) >= 0
-      && m.phase_of.(dst) < min !cur_ph m.nphases
-    in
-    if reentry then begin
-      incr progress;
-      add_finding Check.Error "phase-reentry" lbl
-        (Printf.sprintf
-           "step %S re-enters phase %S after its checkpoint certified: \
-            post-certification play can rewrite what the bank already \
-            green-lit"
-           lbl
-           m.phase_names.(m.phase_of.(dst)))
-    end
-    else begin
-      let k' =
-        if use_pack then
-          ((((ndev + 1) * mns) + nf + 1) * mnp + nph) lsl shift
-          lor (nacted lsl npb) lor nevid
-        else encode ndev nf nph nacted nevid
-      in
-      if k' <> !cur_k then incr progress;
-      if Intset.add visited k' then begin
-        if track then Hashtbl.replace parent k' (!cur_k, lbl);
-        mark ndev nf;
-        enqueue k' (!cur_d + 1) ndev nf nph nacted nevid
-      end
-    end
-  in
-  let continue = ref true in
-  while !continue && !head < !count do
-    if !count > bound then begin
-      truncated := true;
-      continue := false
-    end
-    else begin
-      let a = !q in
-      let b = !head * 8 in
-      incr head;
-      let k = a.(b) and d = a.(b + 1) in
-      let dev = a.(b + 2) and f = a.(b + 3) and ph = a.(b + 4) in
-      let s_acted = a.(b + 5) and s_evid = a.(b + 6) in
-      cur_k := k;
-      cur_d := d;
-      cur_ph := ph;
-      progress := 0;
-      (* deviant move *)
-      (if dev >= 0 && (ph >= m.nphases || m.phase_of.(dev) = ph) then
-         match m.sugg_id.(dev) with
-         | None -> ()
-         | Some _aid ->
-             let is_t = job.aj_targets.(dev) in
-             if job.aj_stall && is_t then ()
-             else begin
-               let pbit =
-                 if ph < m.nphases then ph else max 0 (m.nphases - 1)
-               in
-               (* Evidence bits are only ever read by the *current* phase's
-                  checkpoint, so bits set in the coda (no checkpoint left)
-                  would inflate state identity without changing any future
-                  read.  Dropping them merges histories exactly. *)
-               let in_phase = ph < m.nphases in
-               let acted =
-                 if is_t && in_phase then s_acted lor (1 lsl pbit) else s_acted
-               in
-               let evid =
-                 if is_t && in_phase && job.aj_covered.(dev) then
-                   s_evid lor (1 lsl pbit)
-                 else s_evid
-               in
-               if is_t then begin
-                 acted_ever := true;
-                 if d + 1 < min_act.(pbit) then min_act.(pbit) <- d + 1
-               end;
-               push m.dst_of.(dev) f ph acted evid m.dev_lbl.(dev)
-                 m.dst_of.(dev)
-             end);
-      (* the faithful representative's move *)
-      (if ph >= m.nphases || m.phase_of.(f) = ph then
-         match m.sugg_id.(f) with
-         | None -> ()
-         | Some aid -> push dev m.dst_of.(f) ph s_acted s_evid aid m.dst_of.(f));
-      (* checkpoint: fires exactly when nobody remains inside the phase *)
-      if ph < m.nphases then begin
-        let someone_inside =
-          (dev >= 0 && m.phase_of.(dev) = ph) || m.phase_of.(f) = ph
-        in
-        if not someone_inside then begin
-          let bit = 1 lsl ph in
-          (if s_acted land bit <> 0 then
-             match m.certifiers.(ph) with
-             | Some rule when s_evid land bit <> 0 ->
-                 if d + 1 > max_cert.(ph) then begin
-                   max_cert.(ph) <- d + 1;
-                   cert_rule.(ph) <- Some rule
-                 end
-             | _ ->
-                 if !escape = None then
-                   escape :=
-                     Some
-                       (witness_of k ^ " ; [green-light " ^ m.phase_names.(ph)
-                      ^ "]"));
-          (* Bits from phases <= ph are dead once this checkpoint has
-             fired (each phase's bit is read exactly once, here), so the
-             successor enters the next phase with cleared bitsets —
-             merging all same-position histories into one state. *)
-          push dev f (ph + 1) 0 0 m.cp_lbl.(ph) (-1)
-        end
-      end;
-      (* deadlock: the current phase can never reach its certifier *)
-      if !progress = 0 && ph < m.nphases then begin
-        let stalling_deviant =
-          dev >= 0 && job.aj_stall
-          && m.phase_of.(dev) = ph
-          && job.aj_targets.(dev)
-          && m.sugg_id.(dev) <> None
-        in
-        if stalling_deviant then (
-          match !timeout with
-          | Some t when t >= d + 1 -> ()
-          | _ -> timeout := Some (d + 1))
-        else
-          add_finding Check.Error
-            (if job.aj_faithful then "false-accusation"
-             else "certifier-unreachable")
-            m.phase_names.(ph)
-            (if job.aj_faithful then
-               Printf.sprintf
-                 "the all-faithful abstract run deadlocks inside phase %S: \
-                  the bank's progress timeout would punish nodes that \
-                  followed the suggested play to the letter"
-                 m.phase_names.(ph)
-             else
-               Printf.sprintf
-                 "phase %S can deadlock before its certifier runs: a \
-                  deviation inside it is never surfaced at a checkpoint"
-                 m.phase_names.(ph))
-      end
-    end
-  done;
-  let lag = ref (-1) in
-  let certifier = ref None in
-  let cert_phase = ref (-1) in
-  Array.iteri
-    (fun p cert ->
-      if cert >= 0 && min_act.(p) < max_int then begin
-        let l = cert - min_act.(p) in
-        if l > !lag then begin
-          lag := l;
-          certifier := cert_rule.(p);
-          cert_phase := p
-        end
-      end)
-    max_cert;
-  scratch.sc_q <- !q;
-  {
-    ao_escape = !escape;
-    ao_timeout = !timeout;
-    ao_lag = !lag;
-    ao_certifier = !certifier;
-    ao_cert_phase = !cert_phase;
-    ao_acted = !acted_ever;
-    ao_truncated = !truncated;
-    ao_states = !count;
-    ao_findings = List.rev !findings;
-  }
-
 (* ---- verdicts and the static frontier ---- *)
 
 type sverdict =
@@ -790,42 +288,6 @@ type t = {
   states_explored : int;
   elapsed_s : float;
 }
-
-let combine rs =
-  if List.exists (fun r -> r.ao_truncated) rs then Struncated
-  else
-    match List.find_opt (fun r -> r.ao_escape <> None) rs with
-    | Some r -> Sblind { witness = Option.get r.ao_escape }
-    | None -> (
-        match
-          List.find_opt (fun r -> r.ao_lag < 0 && r.ao_timeout = None) rs
-        with
-        | Some r ->
-            Sblind
-              {
-                witness =
-                  (if r.ao_acted then
-                     "the deviation occurs but no certification event ever \
-                      follows it"
-                   else
-                     "the targeted action never executes in the abstract \
-                      product");
-              }
-        | None ->
-            let depth, certifier, phase =
-              List.fold_left
-                (fun (d0, c0, p0) r ->
-                  let d, c, p =
-                    if r.ao_lag >= 0 then
-                      (r.ao_lag, r.ao_certifier, r.ao_cert_phase)
-                    else (Option.get r.ao_timeout, None, -1)
-                  in
-                  if d > d0 then (d, c, p) else (d0, c0, p0))
-                (-1, None, -1) rs
-            in
-            Scertified { depth; certifier; phase })
-
-let dev_compare a b = String.compare (Dev.to_string a) (Dev.to_string b)
 
 (* The dependence-derived frontier: the earliest checkpoint, at or after
    the deviation's earliest targeted phase, whose certifier reads evidence
@@ -945,406 +407,161 @@ let dependence_frontier (ft : frontier_tables) targets =
           in
           scan p0)
 
+let sverdict (v : Explore.verdict) phase =
+  match v with
+  | Explore.Detected { depth; certifier } ->
+      Scertified { depth; certifier; phase }
+  | Explore.Undetected { witness } -> Sblind { witness }
+  | Explore.Exempt { reason } -> Sexempt { reason }
+  | Explore.Truncated -> Struncated
+
 let run ?(bound = 200_000) ?(adversary = Dev.all) ?(obs = Obs.noop) ~graph
     (ir : Ir.t) =
   let t0 = Clock.now_ns () in
   let fl = Obs.span obs ~cat:"speccheck" "absint.flow" (fun () -> flow_fixpoint ir) in
-  let m = build ir in
   let ftab = dependence_frontier_tables ir fl in
-  let n = G.n graph in
-  let ns = Array.length m.states in
-  let initial =
-    let rec find i =
-      if i >= ns then None
-      else if m.states.(i) = ir.Ir.initial then Some i
-      else find (i + 1)
-    in
-    find 0
+  (* [Explore]'s kernel with the deviant plus ONE faithful representative:
+     faithful seats are symmetric, so one representative preserves
+     barrier structure, escape possibility and stall wedges, while depths
+     only shrink — the frontier soundness argument of DESIGN.md §17. The
+     kernel runs untraced so its spans never mix with [Explore.run]'s. *)
+  let p =
+    Obs.span obs ~cat:"speccheck" "absint.frontier" (fun () ->
+        Explore.product ~bound ~adversary ~obs:Obs.noop ~por:false ~domains:1
+          ~audit:false
+          ~faithful:(fun ~deviant:_ -> 1)
+          ~graph ir)
   in
-  match initial with
-  | None ->
-      {
-        flows = fl.fl_summaries;
-        frontier = [];
-        findings =
-          [
-            {
-              Check.id = "analysis-skipped";
-              severity = Check.Warning;
-              location = ir.Ir.initial;
-              message =
-                "the initial state is not declared, so the abstract product \
-                 machine has no seed configuration; frontier analysis skipped";
-            };
-          ];
-        states_explored = 0;
-        elapsed_s = Clock.s_since t0;
-      }
-  | Some initial ->
-      let no_targets = Array.make ns false in
-      (* every label's target mask in one sweep over the machine states
-         instead of one state scan per label *)
-      let tmask_tbl : (string, bool array) Hashtbl.t = Hashtbl.create 32 in
-      Array.iteri
-        (fun i ao ->
-          match ao with
-          | None -> ()
-          | Some (a : Ir.action) ->
-              List.iter
-                (fun d ->
-                  let key = Dev.to_string d in
-                  let mask =
-                    match Hashtbl.find_opt tmask_tbl key with
-                    | Some mk -> mk
-                    | None ->
-                        let mk = Array.make ns false in
-                        Hashtbl.add tmask_tbl key mk;
-                        mk
-                  in
-                  mask.(i) <- true)
-                a.Ir.deviations)
-        m.action_of;
-      let target_mask lbl =
-        Option.value ~default:no_targets
-          (Hashtbl.find_opt tmask_tbl (Dev.to_string lbl))
-      in
-      let coverage_mask ~honest =
-        Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> Explore.covered_action a ~honest
-            | None -> false)
-      in
-      (* only two coverage masks exist; share them across all jobs *)
-      let cov_honest = coverage_mask ~honest:true in
-      let cov_isolated = coverage_mask ~honest:false in
-      let coverage_mask ~honest = if honest then cov_honest else cov_isolated in
-      let honesties =
-        List.sort_uniq Bool.compare
-          (List.init n (fun i -> G.degree graph i > 0))
-      in
-      let single_seat_jobs lbl ~stall =
-        let targets = target_mask lbl in
-        List.map
-          (fun honest ->
-            {
-              aj_label =
-                Printf.sprintf "%s[%s]" (Dev.to_string lbl)
-                  (if honest then "honest-nbrs" else "isolated");
-              aj_has_deviant = true;
-              aj_stall = stall;
-              aj_targets = targets;
-              aj_covered = coverage_mask ~honest;
-              aj_faithful = false;
-            })
-          honesties
-      in
-      let coalition_shield (a : Ir.action) =
-        a.Ir.cls = Some Action.Computation
-        && a.Ir.mirrored && a.Ir.digested
-        && List.exists
-             (fun d -> d <> Dev.Lying_checker && d <> Dev.Collude_with)
-             a.Ir.deviations
-      in
-      let collude_plan () =
-        if not (List.exists coalition_shield ir.Ir.actions) then
-          `Done
-            (Sblind
-               {
-                 witness =
-                   "no mirrored computation exists for the coalition to \
-                    shield, so the coalition case analysis is vacuous";
-               })
-        else begin
-          let targets =
-            Array.init ns (fun i ->
-                match m.action_of.(i) with
-                | Some a -> coalition_shield a
-                | None -> false)
+  if not p.Explore.pr_seeded then
+    {
+      flows = fl.fl_summaries;
+      frontier = [];
+      findings =
+        [
+          {
+            Check.id = "analysis-skipped";
+            severity = Check.Warning;
+            location = ir.Ir.initial;
+            message =
+              "the initial state is not declared, so the abstract product \
+               machine has no seed configuration; frontier analysis skipped";
+          };
+        ];
+      states_explored = 0;
+      elapsed_s = Clock.s_since t0;
+    }
+  else begin
+    let frontier =
+      List.map
+        (fun (lbl, v, phase) ->
+          let fr_certifier, fr_phase, fr_distance =
+            match v with
+            | Explore.Exempt _ -> (None, None, None)
+            | _ ->
+                dependence_frontier ftab
+                  (List.filter (Explore.targets lbl) ir.Ir.actions)
           in
-          let pairs =
-            List.concat
-              (List.init n (fun p ->
-                   List.map (fun c -> (p, c)) (G.neighbors graph p)))
-          in
-          let honest_of (p, c) =
-            List.exists (fun nb -> nb <> c) (G.neighbors graph p)
-          in
-          let exposed = List.filter (fun pc -> not (honest_of pc)) pairs in
-          let chonesties =
-            List.sort_uniq Bool.compare (List.map honest_of pairs)
-          in
-          let jobs =
-            List.map
-              (fun honest ->
-                {
-                  aj_label =
-                    (if honest then "collude-with[honest-nbrs]"
-                     else "collude-with[isolated]");
-                  aj_has_deviant = true;
-                  aj_stall = false;
-                  aj_targets = targets;
-                  aj_covered = coverage_mask ~honest;
-                  aj_faithful = false;
-                })
-              chonesties
-          in
-          let post v =
-            match (v, exposed) with
-            | Sblind { witness }, (p, c) :: _ ->
-                Sblind
-                  {
-                    witness =
-                      Printf.sprintf
-                        "%s [principal %d, colluding checker %d covers its \
-                         entire neighborhood]"
-                        witness p c;
-                  }
-            | _ -> v
-          in
-          `Jobs (jobs, post)
-        end
-      in
-      let labels =
-        List.sort_uniq dev_compare
-          (List.filter (fun d -> d <> Dev.Faithful) adversary)
-      in
-      (* per-label targeting actions, one pass over the declared actions
-         instead of one action scan per label (order-insensitive users:
-         the frontier masks and the orphan test) *)
-      let tlist_tbl : (string, Ir.action list) Hashtbl.t = Hashtbl.create 32 in
-      List.iter
-        (fun (a : Ir.action) ->
-          List.iter
-            (fun d ->
-              let k = Dev.to_string d in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt tlist_tbl k)
-              in
-              Hashtbl.replace tlist_tbl k (a :: prev))
-            a.Ir.deviations)
-        ir.Ir.actions;
-      let targets_of lbl =
-        Option.value ~default:[]
-          (Hashtbl.find_opt tlist_tbl (Dev.to_string lbl))
-      in
-      let plan =
-        List.map
-          (fun lbl ->
-            let p =
-              match List.assoc_opt lbl Explore.exemptions with
-              | Some reason -> `Done (Sexempt { reason })
-              | None ->
-                  if lbl = Dev.Collude_with then collude_plan ()
-                  else if targets_of lbl = [] then
-                    `Done
-                      (Sblind
-                         {
-                           witness =
-                             "no catalogue action targets this deviation, so \
-                              the section-4.3 case analysis cannot place it";
-                         })
-                  else
-                    `Jobs
-                      ( single_seat_jobs lbl
-                          ~stall:(lbl = Dev.Silent_in_construction),
-                        fun v -> v )
-            in
-            (lbl, p))
-          labels
-      in
-      let faithful_job =
-        {
-          aj_label = "all-faithful";
-          aj_has_deviant = false;
-          aj_stall = false;
-          aj_targets = no_targets;
-          aj_covered = no_targets;
-          aj_faithful = true;
-        }
-      in
-      let all_jobs =
-        List.concat_map
-          (fun (_, p) -> match p with `Done _ -> [] | `Jobs (js, _) -> js)
-          plan
-        @ [ faithful_job ]
-      in
-      let encode =
-        if fits_int ~ns ~nphases:m.nphases then pack_int ~ns ~nphases:m.nphases
-        else pack_interned ()
-      in
-      let scratch = scratch_create ns m.nphases in
-      (* Distinct deviation labels frequently target the same action set,
-         and the abstract runner's result only depends on the job's
-         (targets, coverage, stall, deviant) shape — the label shows up
-         solely in finding/witness text. Identical shapes therefore share
-         one exploration; results carrying findings or an escape are not
-         shared, since their text embeds the label. *)
-      let covered_id c =
-        if c == cov_honest then '\001'
-        else if c == cov_isolated then '\002'
-        else '\000'
-      in
-      let job_key job =
-        let b = Bytes.create (ns + 3) in
-        for i = 0 to ns - 1 do
-          Bytes.set b i (if job.aj_targets.(i) then '\001' else '\000')
-        done;
-        Bytes.set b ns (covered_id job.aj_covered);
-        Bytes.set b (ns + 1) (if job.aj_stall then '\001' else '\000');
-        Bytes.set b (ns + 2) (if job.aj_has_deviant then '\001' else '\000');
-        Bytes.unsafe_to_string b
-      in
-      let shared = Hashtbl.create 16 in
-      let exec job =
-        Obs.span obs ~cat:"speccheck"
-          ~args:[ ("scenario", Json.String job.aj_label) ]
-          "absint.frontier"
-          (fun () ->
-            let key = job_key job in
-            match Hashtbl.find_opt shared key with
-            | Some o -> o
-            | None ->
-                let go ~track =
-                  run_ascenario m ~encode ~bound ~initial ~track ~scratch job
-                in
-                (* fast pass without parent tracking; only an escape needs
-                   a witness chain, so only then pay for the tracked
-                   re-run *)
-                let o = go ~track:false in
-                let o = if o.ao_escape = None then o else go ~track:true in
-                if
-                  o.ao_escape = None && o.ao_findings = []
-                  && not o.ao_truncated
-                then Hashtbl.add shared key o;
-                o)
-      in
-      let outs = List.map exec all_jobs in
-      let covered_mark = scratch.sc_covered in
-      let findings = ref [] in
-      let seen = Hashtbl.create 16 in
-      let add_finding severity id location message =
-        if not (Hashtbl.mem seen (id ^ "\x00" ^ location)) then begin
-          Hashtbl.add seen (id ^ "\x00" ^ location) ();
-          findings := { Check.id; severity; location; message } :: !findings
-        end
-      in
-      List.iter
-        (fun (f : Check.finding) ->
-          add_finding f.Check.severity f.Check.id f.Check.location
-            f.Check.message)
-        (flow_findings ir fl);
-      (* checkpoint starvation: a certifier with no covered evidence source
-         among its own phase's actions can never accumulate anything to
-         certify — every deviation inside the phase is structurally blind. *)
-      Array.iteri
-        (fun i (p : Ir.phase) ->
-          match p.Ir.checkpoint with
-          | None -> ()
-          | Some c ->
-              if not ftab.ft_feeds.(i) then
-                add_finding Check.Error "checkpoint-starved" p.Ir.pname
-                  (Printf.sprintf
-                     "phase %S ends in certifier %s but no action of the \
-                      phase deposits covered evidence: the checkpoint \
-                      green-lights on an empty ledger, blinding every \
-                      deviation inside the phase"
-                     p.Ir.pname
-                     (Rule.to_string c.Ir.certifier)))
-        ftab.ft_phases;
-      let states_total = ref 0 in
-      List.iter
-        (fun o ->
-          states_total := !states_total + o.ao_states;
-          List.iter
-            (fun (f : Check.finding) ->
-              add_finding f.Check.severity f.Check.id f.Check.location
-                f.Check.message)
-            o.ao_findings)
-        outs;
-      let outs_arr = Array.of_list outs in
-      let idx = ref 0 in
-      let take count =
-        let l = List.init count (fun j -> outs_arr.(!idx + j)) in
-        idx := !idx + count;
-        l
-      in
-      let frontier =
-        List.map
-          (fun (lbl, p) ->
-            let v =
-              match p with
-              | `Done v -> v
-              | `Jobs (js, post) -> post (combine (take (List.length js)))
-            in
-            let targets =
-              if lbl = Dev.Collude_with then
-                List.filter coalition_shield ir.Ir.actions
-              else targets_of lbl
-            in
-            let fr_certifier, fr_phase, fr_distance =
-              match v with
-              | Sexempt _ -> (None, None, None)
-              | _ -> dependence_frontier ftab targets
-            in
-            { fr_dev = lbl; fr_verdict = v; fr_certifier; fr_phase; fr_distance })
-          plan
-      in
-      List.iter
+          {
+            fr_dev = lbl;
+            fr_verdict = sverdict v phase;
+            fr_certifier;
+            fr_phase;
+            fr_distance;
+          })
+        p.Explore.pr_labels
+    in
+    (* checkpoint starvation: a certifier with no covered evidence source
+       among its own phase's actions can never accumulate anything to
+       certify — every deviation inside the phase is structurally blind. *)
+    let starved =
+      List.concat
+        (List.mapi
+           (fun i (p : Ir.phase) ->
+             match p.Ir.checkpoint with
+             | Some c when not ftab.ft_feeds.(i) ->
+                 [
+                   {
+                     Check.id = "checkpoint-starved";
+                     severity = Check.Error;
+                     location = p.Ir.pname;
+                     message =
+                       Printf.sprintf
+                         "phase %S ends in certifier %s but no action of the \
+                          phase deposits covered evidence: the checkpoint \
+                          green-lights on an empty ledger, blinding every \
+                          deviation inside the phase"
+                         p.Ir.pname
+                         (Rule.to_string c.Ir.certifier);
+                   };
+                 ]
+             | _ -> [])
+           (Array.to_list ftab.ft_phases))
+    in
+    let frontier_findings =
+      List.filter_map
         (fun fr ->
           match fr.fr_verdict with
           | Sblind { witness } ->
-              add_finding Check.Error "certifier-blind-spot"
-                (Dev.to_string fr.fr_dev)
-                (Printf.sprintf
-                   "no checkpoint certifier ever surfaces deviation %S: %s%s"
-                   (Dev.to_string fr.fr_dev) witness
-                   (match (fr.fr_certifier, fr.fr_phase, fr.fr_distance) with
-                   | Some c, Some p, Some dist ->
-                       Printf.sprintf
-                         " (certifier %s at phase %S, distance %d, reads \
-                          dependent evidence, but the checkpoint discipline \
-                          never surfaces the deviation)"
-                         c p dist
-                   | _ ->
-                       " (and no certifier's evidence transitively depends \
-                        on any output it perturbs)"))
+              Some
+                {
+                  Check.id = "certifier-blind-spot";
+                  severity = Check.Error;
+                  location = Dev.to_string fr.fr_dev;
+                  message =
+                    Printf.sprintf
+                      "no checkpoint certifier ever surfaces deviation %S: %s%s"
+                      (Dev.to_string fr.fr_dev) witness
+                      (match (fr.fr_certifier, fr.fr_phase, fr.fr_distance) with
+                      | Some c, Some p, Some dist ->
+                          Printf.sprintf
+                            " (certifier %s at phase %S, distance %d, reads \
+                             dependent evidence, but the checkpoint discipline \
+                             never surfaces the deviation)"
+                            c p dist
+                      | _ ->
+                          " (and no certifier's evidence transitively depends \
+                           on any output it perturbs)");
+                }
           | Struncated ->
-              add_finding Check.Warning "analysis-truncated"
-                (Dev.to_string fr.fr_dev)
-                (Printf.sprintf
-                   "the %d-state bound ran out while abstracting %S: its \
-                    static verdict is unknown"
-                   bound
-                   (Dev.to_string fr.fr_dev))
-          | Scertified _ | Sexempt _ -> ())
-        frontier;
-      Array.iteri
-        (fun i occupied ->
-          if not occupied then
-            add_finding Check.Error "unexplored-state" m.states.(i)
-              (Printf.sprintf
-                 "state %S is never occupied by any node in any abstract \
-                  product execution: it cannot participate in the certified \
-                  protocol"
-                 m.states.(i)))
-        covered_mark;
-      let elapsed_s = Clock.s_since t0 in
-      if Obs.enabled obs then
-        Obs.instant obs ~cat:"speccheck"
-          ~args:
-            [
-              ("states", Json.Int !states_total);
-              ("labels", Json.Int (List.length labels));
-              ("elapsed_s", Json.Float elapsed_s);
-            ]
-          "absint.done";
-      {
-        flows = fl.fl_summaries;
-        frontier;
-        findings = List.rev !findings;
-        states_explored = !states_total;
-        elapsed_s;
-      }
+              Some
+                {
+                  Check.id = "analysis-truncated";
+                  severity = Check.Warning;
+                  location = Dev.to_string fr.fr_dev;
+                  message =
+                    Printf.sprintf
+                      "the %d-state bound ran out while abstracting %S: its \
+                       static verdict is unknown"
+                      bound
+                      (Dev.to_string fr.fr_dev);
+                }
+          | Scertified _ | Sexempt _ -> None)
+        frontier
+    in
+    let findings =
+      Explore.dedup_findings
+        (flow_findings ir fl @ starved @ p.Explore.pr_findings
+       @ frontier_findings
+        @ Explore.unexplored_findings ~product:"abstract" p ir)
+    in
+    let elapsed_s = Clock.s_since t0 in
+    if Obs.enabled obs then
+      Obs.instant obs ~cat:"speccheck"
+        ~args:
+          [
+            ("states", Json.Int p.Explore.pr_states);
+            ("labels", Json.Int (List.length frontier));
+            ("elapsed_s", Json.Float elapsed_s);
+          ]
+        "absint.done";
+    {
+      flows = fl.fl_summaries;
+      frontier;
+      findings;
+      states_explored = p.Explore.pr_states;
+      elapsed_s;
+    }
+  end
 
 (* ---- the static-vs-dynamic differential ---- *)
 

@@ -24,17 +24,17 @@
     dependence masks, giving "certifier evidence transitively depends on an
     output the deviation perturbs" for frontier reporting.
 
-    {b 2. Abstract frontier run.} [Explore] runs the n-seat product;
-    here we run its two-seat abstraction — the deviant plus {e one}
+    {b 2. Abstract frontier run.} The frontier is [Explore]'s kernel
+    ([Explore.product]) at one faithful seat — the deviant plus {e one}
     faithful representative (faithful seats are symmetric, so one
     representative preserves barrier structure, escape possibility and
     stall wedges; detection depths only shrink with fewer seats, which is
     exactly the soundness direction: the static depth is a lower bound on
     the dynamic one). Eligibility, checkpoint barriers, the §4.3 evidence
     bits, omission stalls, reentry pruning, exemptions, the orphan-label
-    case and the coalition analysis all mirror [Explore.run] decision for
-    decision, so verdict {e kinds} agree and [differential] can hold the
-    two accountable to each other.
+    case and the coalition analysis are the exploration's own code, so
+    verdict {e kinds} agree and [differential] can hold the two
+    accountable to each other.
 
     Findings ([Check.finding] ids):
     - [cc-private-leak-flow], [ac-unmirrored-flow], [ac-undigested-flow]
@@ -99,12 +99,14 @@ val run :
   t
 (** [bound] (default 200_000) caps abstract states per scenario — far
     beyond any catalogue-sized IR, a pure safety net. [adversary]
-    (default [Dev.all]) as with [Explore.run]. Never raises on malformed
-    IRs (same contracts as [Explore.run]: self-loops, missing initial
-    skips with a warning, dedup bounds every loop). [obs]: the fixpoint
-    and each abstract scenario run under ["absint.flow"] /
-    ["absint.frontier"] spans and an ["absint.done"] instant reports
-    totals. *)
+    (default [Dev.all]) as with [Explore.run]. Same contracts on
+    malformed IRs as [Explore.run]: undefined transitions self-loop, a
+    missing initial state skips the frontier with a warning, dedup bounds
+    every loop, and an IR with more than 16 phases raises
+    [Invalid_argument] ([Statepack.make]). [obs]: the fixpoint and
+    the frontier run under ["absint.flow"] / ["absint.frontier"] spans
+    and an ["absint.done"] instant reports totals; the kernel itself runs
+    untraced, so [obs] records no ["explore.*"] events. *)
 
 val differential : t -> Explore.outcome -> Check.finding list
 (** Cross-check the static frontier against measured exploration:

@@ -130,6 +130,7 @@ type scen_out = {
   so_timeout : int option;  (* omission stall depth *)
   so_lag : int;  (* worst act-to-certification distance; -1 = none *)
   so_certifier : string option;
+  so_cert_phase : int;  (* phase index of that worst lag; -1 = none *)
   so_acted : bool;
   so_truncated : bool;
   so_states : int;
@@ -138,8 +139,8 @@ type scen_out = {
   so_findings : Check.finding list;
 }
 
-(* One scenario: BFS the product with [n] seats, one seat optionally
-   running the deviation. [j_targets] marks states whose suggested action
+(* One scenario: BFS the product of [faithful] faithful seats plus,
+   when [j_has_deviant], one seat running the deviation. [j_targets] marks states whose suggested action
    the deviation targets; [j_covered] marks states whose deviant execution
    deposits checkpoint evidence; [j_stall] models omission (the targeted
    step never completes, blocking the phase barrier). [encode] canonicalizes
@@ -147,7 +148,7 @@ type scen_out = {
    packed layout fits one word. [por] enables the invisible-step reduction
    when its acyclicity guard holds. *)
 let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
-    ~n ~initial (job : job) : scen_out =
+    ~faithful ~initial (job : job) : scen_out =
   let ns = Array.length m.states in
   let depth_hist =
     match Obs.metrics obs with
@@ -205,7 +206,7 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
   let frontier_max = ref 0 in
   let s0 =
     let cnt = Array.make ns 0 in
-    cnt.(initial) <- (if job.j_has_deviant then n - 1 else n);
+    cnt.(initial) <- faithful;
     {
       Sp.dev = (if job.j_has_deviant then initial else -1);
       cnt;
@@ -399,13 +400,15 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
   done;
   let lag = ref (-1) in
   let certifier = ref None in
+  let cert_phase = ref (-1) in
   Array.iteri
     (fun p cert ->
       if cert >= 0 && min_act.(p) < max_int then begin
         let l = cert - min_act.(p) in
         if l > !lag then begin
           lag := l;
-          certifier := cert_rule.(p)
+          certifier := cert_rule.(p);
+          cert_phase := p
         end
       end)
     max_cert;
@@ -414,6 +417,7 @@ let run_scenario (type k) m ~(encode : Sp.state -> k) ~audit ~por ~obs ~bound
     so_timeout = !timeout;
     so_lag = !lag;
     so_certifier = !certifier;
+    so_cert_phase = !cert_phase;
     so_acted = !acted_ever;
     so_truncated = !truncated;
     so_states = Hashtbl.length visited;
@@ -437,13 +441,86 @@ let exemptions =
 
 let dev_compare a b = String.compare (Dev.to_string a) (Dev.to_string b)
 
-let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
-    ?(por = true) ?(domains = 0) ?(audit = false) ~graph (ir : Ir.t) =
-  let t0 = Clock.now_ns () in
+(* The computations a coalition can shield: mirrored, digested, and
+   targeted by some principal-side deviation. *)
+let coalition_shield (a : Ir.action) =
+  a.Ir.cls = Some Action.Computation
+  && a.Ir.mirrored && a.Ir.digested
+  && List.exists
+       (fun d -> d <> Dev.Lying_checker && d <> Dev.Collude_with)
+       a.Ir.deviations
+
+let targets lbl (a : Ir.action) =
+  if lbl = Dev.Collude_with then coalition_shield a
+  else List.mem lbl a.Ir.deviations
+
+(* A label's verdict over its honesty-class scenarios, with the phase
+   index of the worst certified lag (-1 when none certified it). *)
+let combine rs =
+  if List.exists (fun r -> r.so_truncated) rs then (Truncated, -1)
+  else
+    match List.find_opt (fun r -> r.so_escape <> None) rs with
+    | Some r -> (Undetected { witness = Option.get r.so_escape }, -1)
+    | None -> (
+        match
+          List.find_opt (fun r -> r.so_lag < 0 && r.so_timeout = None) rs
+        with
+        | Some r ->
+            ( Undetected
+                {
+                  witness =
+                    (if r.so_acted then
+                       "the deviation occurs but no certification event \
+                        ever follows it"
+                     else
+                       "the targeted action never executes in the explored \
+                        product");
+                },
+              -1 )
+        | None ->
+            let depth, certifier, phase =
+              List.fold_left
+                (fun (d0, c0, p0) r ->
+                  let d, c, p =
+                    if r.so_lag >= 0 then
+                      (r.so_lag, r.so_certifier, r.so_cert_phase)
+                    else (Option.get r.so_timeout, None, -1)
+                  in
+                  if d > d0 then (d, c, p) else (d0, c0, p0))
+                (-1, None, -1) rs
+            in
+            (Detected { depth; certifier }, phase))
+
+let dedup_findings fs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun (f : Check.finding) ->
+      let key = (f.Check.id, f.Check.location) in
+      (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+    fs
+
+type product = {
+  pr_seeded : bool;
+  pr_labels : (Dev.t * verdict * int) list;
+  pr_findings : Check.finding list;
+  pr_occupied : bool array;
+  pr_states : int;
+  pr_frontier_peak : int;
+  pr_scenarios : int;
+  pr_domains : int;
+  pr_por : bool;
+}
+
+let product ~bound ~adversary ~obs ~por ~domains ~audit ~faithful ~graph
+    (ir : Ir.t) =
   let m = build ir in
   let n = G.n graph in
   let ns = Array.length m.states in
-  let codec = Sp.make ~ns ~n ~nphases:m.nphases in
+  let codec =
+    Sp.make ~ns
+      ~n:(max (faithful ~deviant:true) (faithful ~deviant:false))
+      ~nphases:m.nphases
+  in
   let por_ctx =
     if por then
       Some
@@ -466,44 +543,23 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
   match initial with
   | None ->
       {
-        verdicts = [];
-        findings =
-          [
-            {
-              Check.id = "exploration-truncated";
-              severity = Check.Warning;
-              location = ir.Ir.initial;
-              message =
-                "the initial state is not declared, so the product machine \
-                 has no seed configuration; exploration skipped";
-            };
-          ];
-        covered_states = [];
-        stats =
-          {
-            states_explored = 0;
-            frontier_peak = 0;
-            scenarios = 0;
-            truncated = true;
-            elapsed_s = Clock.s_since t0;
-            por = por_active;
-            domains = 1;
-          };
+        pr_seeded = false;
+        pr_labels = [];
+        pr_findings = [];
+        pr_occupied = Array.make ns false;
+        pr_states = 0;
+        pr_frontier_peak = 0;
+        pr_scenarios = 0;
+        pr_domains = 1;
+        pr_por = por_active;
       }
   | Some initial ->
       let no_targets = Array.make ns false in
-      let target_mask lbl =
+      let target_mask pred =
         Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> List.mem lbl a.Ir.deviations
-            | None -> false)
+            match m.action_of.(i) with Some a -> pred a | None -> false)
       in
-      let coverage_mask ~honest =
-        Array.init ns (fun i ->
-            match m.action_of.(i) with
-            | Some a -> covered_action a ~honest
-            | None -> false)
-      in
+      let coverage_mask ~honest = target_mask (covered_action ~honest) in
       (* The abstract model forgets seat identity except through the
          honesty of the deviant's checker neighborhood, so seats sharing an
          honesty value share one BFS — the sweep is still exhaustive over
@@ -513,7 +569,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
           (List.init n (fun i -> G.degree graph i > 0))
       in
       let single_seat_jobs lbl ~stall =
-        let targets = target_mask lbl in
+        let tmask = target_mask (targets lbl) in
         List.map
           (fun honest ->
             {
@@ -522,51 +578,11 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
                   (if honest then "honest-nbrs" else "isolated");
               j_has_deviant = true;
               j_stall = stall;
-              j_targets = targets;
+              j_targets = tmask;
               j_covered = coverage_mask ~honest;
               j_faithful = false;
             })
           honesties
-      in
-      let combine rs =
-        if List.exists (fun r -> r.so_truncated) rs then Truncated
-        else
-          match List.find_opt (fun r -> r.so_escape <> None) rs with
-          | Some r -> Undetected { witness = Option.get r.so_escape }
-          | None -> (
-              match
-                List.find_opt (fun r -> r.so_lag < 0 && r.so_timeout = None) rs
-              with
-              | Some r ->
-                  Undetected
-                    {
-                      witness =
-                        (if r.so_acted then
-                           "the deviation occurs but no certification event \
-                            ever follows it"
-                         else
-                           "the targeted action never executes in the \
-                            explored product");
-                    }
-              | None ->
-                  let depth, certifier =
-                    List.fold_left
-                      (fun (d0, c0) r ->
-                        let d, c =
-                          if r.so_lag >= 0 then (r.so_lag, r.so_certifier)
-                          else (Option.get r.so_timeout, None)
-                        in
-                        if d > d0 then (d, c) else (d0, c0))
-                      (-1, None) rs
-                  in
-                  Detected { depth; certifier })
-      in
-      let coalition_shield (a : Ir.action) =
-        a.Ir.cls = Some Action.Computation
-        && a.Ir.mirrored && a.Ir.digested
-        && List.exists
-             (fun d -> d <> Dev.Lying_checker && d <> Dev.Collude_with)
-             a.Ir.deviations
       in
       (* Collude-with: the principal deviates on a mirrored computation
          while the colluding checker vouches for it; detection needs some
@@ -582,12 +598,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
                     shield, so the coalition case analysis is vacuous";
                })
         else begin
-          let targets =
-            Array.init ns (fun i ->
-                match m.action_of.(i) with
-                | Some a -> coalition_shield a
-                | None -> false)
-          in
+          let tmask = target_mask coalition_shield in
           let pairs =
             List.concat
               (List.init n (fun p ->
@@ -609,7 +620,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
                      else "collude-with[isolated]");
                   j_has_deviant = true;
                   j_stall = false;
-                  j_targets = targets;
+                  j_targets = tmask;
                   j_covered = coverage_mask ~honest;
                   j_faithful = false;
                 })
@@ -643,12 +654,7 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
               | Some reason -> `Done (Exempt { reason })
               | None ->
                   if lbl = Dev.Collude_with then collude_plan ()
-                  else if
-                    not
-                      (List.exists
-                         (fun (a : Ir.action) -> List.mem lbl a.Ir.deviations)
-                         ir.Ir.actions)
-                  then
+                  else if not (List.exists (targets lbl) ir.Ir.actions) then
                     `Done
                       (Undetected
                          {
@@ -693,42 +699,24 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
           max 1 (min req njobs)
       in
       let exec job =
+        let faithful = faithful ~deviant:job.j_has_deviant in
         Obs.span obs ~cat:"speccheck"
           ~args:[ ("scenario", Json.String job.j_label) ]
           "explore.scenario"
           (fun () ->
             if Sp.fits_int codec then
               run_scenario m ~encode:(Sp.pack_int codec) ~audit ~por:por_ctx
-                ~obs ~bound ~n ~initial job
+                ~obs ~bound ~faithful ~initial job
             else
               run_scenario m ~encode:(Sp.pack_string codec) ~audit
-                ~por:por_ctx ~obs ~bound ~n ~initial job)
+                ~por:por_ctx ~obs ~bound ~faithful ~initial job)
       in
       let outs = Pool.map ~domains:dom exec all_jobs in
       (* deterministic merge, in job (= label) order *)
-      let covered_mark = Array.make ns false in
-      let findings = ref [] in
-      let seen = Hashtbl.create 16 in
-      let add_finding severity id location message =
-        if not (Hashtbl.mem seen (id, location)) then begin
-          Hashtbl.add seen (id, location) ();
-          findings := { Check.id; severity; location; message } :: !findings
-        end
-      in
-      let states_total = ref 0 in
-      let frontier_max = ref 0 in
+      let occupied = Array.make ns false in
       List.iter
         (fun o ->
-          states_total := !states_total + o.so_states;
-          if o.so_frontier > !frontier_max then frontier_max := o.so_frontier;
-          Array.iteri
-            (fun i b -> if b then covered_mark.(i) <- true)
-            o.so_covered;
-          List.iter
-            (fun (f : Check.finding) ->
-              add_finding f.Check.severity f.Check.id f.Check.location
-                f.Check.message)
-            o.so_findings)
+          Array.iteri (fun i b -> if b then occupied.(i) <- true) o.so_covered)
         outs;
       let outs_arr = Array.of_list outs in
       let idx = ref 0 in
@@ -737,75 +725,144 @@ let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
         idx := !idx + count;
         l
       in
-      let verdicts =
-        List.map
-          (fun (lbl, p) ->
-            match p with
-            | `Done v -> (lbl, v)
-            | `Jobs (js, post) ->
-                (lbl, post (combine (take (List.length js)))))
-          plan
-      in
-      List.iter
+      {
+        pr_seeded = true;
+        pr_labels =
+          List.map
+            (fun (lbl, p) ->
+              match p with
+              | `Done v -> (lbl, v, -1)
+              | `Jobs (js, post) ->
+                  let v, phase = combine (take (List.length js)) in
+                  (lbl, post v, phase))
+            plan;
+        pr_findings = List.concat_map (fun o -> o.so_findings) outs;
+        pr_occupied = occupied;
+        pr_states = List.fold_left (fun acc o -> acc + o.so_states) 0 outs;
+        pr_frontier_peak =
+          List.fold_left (fun acc o -> max acc o.so_frontier) 0 outs;
+        pr_scenarios = njobs;
+        pr_domains = dom;
+        pr_por = por_active;
+      }
+
+let unexplored_findings ~product p (ir : Ir.t) =
+  List.map
+    (fun s ->
+      {
+        Check.id = "unexplored-state";
+        severity = Check.Error;
+        location = s;
+        message =
+          Printf.sprintf
+            "state %S is never occupied by any node in any %s product \
+             execution: it cannot participate in the certified protocol"
+            s product;
+      })
+    (List.filteri (fun i _ -> not p.pr_occupied.(i)) ir.Ir.states)
+
+let run ?(bound = 50_000) ?(adversary = Dev.all) ?(obs = Obs.noop)
+    ?(por = true) ?(domains = 0) ?(audit = false) ~graph (ir : Ir.t) =
+  let t0 = Clock.now_ns () in
+  let n = G.n graph in
+  let p =
+    product ~bound ~adversary ~obs ~por ~domains ~audit
+      ~faithful:(fun ~deviant -> if deviant then n - 1 else n)
+      ~graph ir
+  in
+  if not p.pr_seeded then
+    {
+      verdicts = [];
+      findings =
+        [
+          {
+            Check.id = "exploration-truncated";
+            severity = Check.Warning;
+            location = ir.Ir.initial;
+            message =
+              "the initial state is not declared, so the product machine has \
+               no seed configuration; exploration skipped";
+          };
+        ];
+      covered_states = [];
+      stats =
+        {
+          states_explored = 0;
+          frontier_peak = 0;
+          scenarios = 0;
+          truncated = true;
+          elapsed_s = Clock.s_since t0;
+          por = p.pr_por;
+          domains = 1;
+        };
+    }
+  else begin
+    let verdicts = List.map (fun (lbl, v, _) -> (lbl, v)) p.pr_labels in
+    let verdict_findings =
+      List.filter_map
         (fun (lbl, v) ->
           match v with
           | Undetected { witness } ->
-              add_finding Check.Error "undetected-deviation" (Dev.to_string lbl)
-                (Printf.sprintf
-                   "deviation %S can escape its phase checkpoint: %s"
-                   (Dev.to_string lbl) witness)
+              Some
+                {
+                  Check.id = "undetected-deviation";
+                  severity = Check.Error;
+                  location = Dev.to_string lbl;
+                  message =
+                    Printf.sprintf
+                      "deviation %S can escape its phase checkpoint: %s"
+                      (Dev.to_string lbl) witness;
+                }
           | Truncated ->
-              add_finding Check.Warning "exploration-truncated"
-                (Dev.to_string lbl)
-                (Printf.sprintf
-                   "the %d-state bound ran out while exploring %S: its \
-                    verdict is unknown"
-                   bound (Dev.to_string lbl))
-          | Detected _ | Exempt _ -> ())
-        verdicts;
-      Array.iteri
-        (fun i occupied ->
-          if not occupied then
-            add_finding Check.Error "unexplored-state" m.states.(i)
-              (Printf.sprintf
-                 "state %S is never occupied by any node in any explored \
-                  product execution: it cannot participate in the certified \
-                  protocol"
-                 m.states.(i)))
-        covered_mark;
-      let covered_states =
-        List.filteri (fun i _ -> covered_mark.(i)) (Array.to_list m.states)
-      in
-      let elapsed_s = Clock.s_since t0 in
-      if Obs.enabled obs then
-        Obs.instant obs ~cat:"speccheck"
-          ~args:
-            [
-              ("states", Json.Int !states_total);
-              ("scenarios", Json.Int njobs);
-              ("frontier_peak", Json.Int !frontier_max);
-              ( "states_per_sec",
-                Json.Float
-                  (if elapsed_s > 0. then
-                     float_of_int !states_total /. elapsed_s
-                   else 0.) );
-            ]
-          "explore.done";
-      {
-        verdicts;
-        findings = List.rev !findings;
-        covered_states;
-        stats =
-          {
-            states_explored = !states_total;
-            frontier_peak = !frontier_max;
-            scenarios = njobs;
-            truncated =
-              List.exists
-                (fun (_, v) -> match v with Truncated -> true | _ -> false)
-                verdicts;
-            elapsed_s;
-            por = por_active;
-            domains = dom;
-          };
-      }
+              Some
+                {
+                  Check.id = "exploration-truncated";
+                  severity = Check.Warning;
+                  location = Dev.to_string lbl;
+                  message =
+                    Printf.sprintf
+                      "the %d-state bound ran out while exploring %S: its \
+                       verdict is unknown"
+                      bound (Dev.to_string lbl);
+                }
+          | Detected _ | Exempt _ -> None)
+        verdicts
+    in
+    let covered_states =
+      List.filteri (fun i _ -> p.pr_occupied.(i)) ir.Ir.states
+    in
+    let elapsed_s = Clock.s_since t0 in
+    if Obs.enabled obs then
+      Obs.instant obs ~cat:"speccheck"
+        ~args:
+          [
+            ("states", Json.Int p.pr_states);
+            ("scenarios", Json.Int p.pr_scenarios);
+            ("frontier_peak", Json.Int p.pr_frontier_peak);
+            ( "states_per_sec",
+              Json.Float
+                (if elapsed_s > 0. then float_of_int p.pr_states /. elapsed_s
+                 else 0.) );
+          ]
+        "explore.done";
+    {
+      verdicts;
+      findings = dedup_findings
+          (p.pr_findings @ verdict_findings
+          @ unexplored_findings ~product:"explored" p ir);
+      covered_states;
+      stats =
+        {
+          states_explored = p.pr_states;
+          frontier_peak = p.pr_frontier_peak;
+          scenarios = p.pr_scenarios;
+          truncated =
+            List.exists
+              (fun (_, v) -> match v with Truncated -> true | _ -> false)
+              verdicts;
+          elapsed_s;
+          por = p.pr_por;
+          domains = p.pr_domains;
+        };
+    }
+  end

@@ -109,8 +109,67 @@ val exemptions : (Dev.t * string) list
 (** Deviations the checking story does not claim, with the reason —
     [Misreport_cost] (neutralized by VCG strategyproofness, not by
     checkers) and [Lying_checker] (a checker-role no-op in isolation).
-    Exposed so [Absint]'s static frontier exempts exactly the same
-    labels the exploration does. *)
+    Exposed so tests can check a verdict list exempts exactly these. *)
+
+val targets : Dev.t -> Ir.action -> bool
+(** [targets lbl a]: a scenario for [lbl] targets action [a] — [a]
+    declares [lbl] among its deviations or, for [Collude_with], [a] is a
+    mirrored and digested computation some principal-side deviation
+    targets (the computations a coalition can shield). *)
+
+(** {2 The product kernel}
+
+    [run] and [Absint.run] share one kernel: the planner (exemptions,
+    orphan labels, honesty classes, collude pairs, the all-faithful
+    run), the scenario BFS and the per-label combine. They differ only
+    in how many faithful seats a scenario holds: [run] seats the whole
+    graph, [Absint] one faithful representative. *)
+
+type product = {
+  pr_seeded : bool;
+      (** the initial state is declared; otherwise no scenario ran and
+          every other field is empty *)
+  pr_labels : (Dev.t * verdict * int) list;
+      (** one verdict per non-[Faithful] label, in label order, with the
+          phase index whose checkpoint certified a [Detected] verdict's
+          worst lag (-1 for the progress timeout and every other
+          verdict) *)
+  pr_findings : Check.finding list;
+      (** the scenarios' [phase-reentry] / [certifier-unreachable] /
+          [false-accusation] findings in scenario order, duplicates
+          across scenarios kept ([dedup_findings] removes them) *)
+  pr_occupied : bool array;
+      (** per [ir.states] index: some seat occupied it in some scenario *)
+  pr_states : int;  (** canonical states summed over the scenarios *)
+  pr_frontier_peak : int;
+  pr_scenarios : int;
+  pr_domains : int;  (** scenario fan-out width actually used *)
+  pr_por : bool;  (** as [stats.por] *)
+}
+
+val product :
+  bound:int ->
+  adversary:Dev.t list ->
+  obs:Damd_obs.Obs.t ->
+  por:bool ->
+  domains:int ->
+  audit:bool ->
+  faithful:(deviant:bool -> int) ->
+  graph:Damd_graph.Graph.t ->
+  Ir.t ->
+  product
+(** Plan, run and combine every scenario. [faithful ~deviant] is the
+    number of faithful seats in a scenario that does ([deviant]) or does
+    not (the all-faithful run) seat a deviant; the other arguments are
+    [run]'s, without defaults. *)
+
+val unexplored_findings :
+  product:string -> product -> Ir.t -> Check.finding list
+(** One [unexplored-state] error per IR state no seat occupied;
+    [product] names the product in the message. *)
+
+val dedup_findings : Check.finding list -> Check.finding list
+(** Keeps the first finding per (id, location), in order. *)
 
 val run :
   ?bound:int ->

@@ -744,6 +744,29 @@ let test_analyze_stock () =
         (s.Absint.sm_out = expected))
     r.Analyze.result.Absint.flows
 
+(* The static frontier runs Explore's kernel untraced: a traced analyze
+   run records only absint.* events, so a sink shared with a later
+   Explore.run holds no explore.scenario spans from the static pass. *)
+let test_analyze_trace_names () =
+  let obs = Damd_obs.Obs.memory () in
+  ignore
+    (Analyze.run ~adversary:Adversary.all_labels ~obs ~graph:(fig1 ())
+       ~topology:"fig1" ir);
+  let names =
+    List.map
+      (function
+        | Damd_obs.Obs.Span { name; _ }
+        | Damd_obs.Obs.Instant { name; _ }
+        | Damd_obs.Obs.Sample { name; _ } -> name)
+      (Damd_obs.Obs.events obs)
+  in
+  check Alcotest.bool "some events recorded" true (names <> []);
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " is an absint.* event") true
+        (String.starts_with ~prefix:"absint." name))
+    names
+
 let test_analyze_differential_stock () =
   let r = analyze ~differential:true () in
   check Alcotest.(option bool) "frontier sound vs exploration" (Some true)
@@ -932,6 +955,8 @@ let suites =
     ( "speccheck.analyze",
       [
         Alcotest.test_case "stock static report" `Quick test_analyze_stock;
+        Alcotest.test_case "traced run records only absint.* events" `Quick
+          test_analyze_trace_names;
         Alcotest.test_case "differential sound on stock" `Quick
           test_analyze_differential_stock;
         Alcotest.test_case "mutations fire statically" `Quick
