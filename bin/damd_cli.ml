@@ -43,50 +43,65 @@ let write_trace ?meta ~path obs =
     path cp
 
 (* [as:N:M] also carries commercial edge annotations; commands that only
-   need the graph take [parse_topology], the topo inspector keeps them. *)
+   need the graph take [parse_topology], the topo inspector keeps them.
+   A malformed SPEC (bad number, out-of-range size, a generator that
+   cannot place its edges) is a command-line error: one line on stderr,
+   exit 124. *)
 let parse_topology_full spec seed =
   let rng = Rng.create seed in
-  let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "unknown topology %S (expected fig1 | ring:N | torus:R:C | \
-             chordal:N:CHORDS | er:N:P | ba:N:M | as:N:M | waxman:N)"
-            spec))
+  let invalid reason =
+    Printf.eprintf "damd: invalid topology %s: %s\n" spec reason;
+    exit 124
   in
-  match String.split_on_char ':' spec with
-  | [ "fig1" ] -> (fst (Gen.figure1 ()), None)
-  | [ "torus"; rows; cols ] ->
-      let rows = int_of_string rows and cols = int_of_string cols in
-      ( Gen.torus ~rows ~cols
-          ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) (rows * cols)),
-        None )
-  | [ "ring"; n ] ->
-      let n = int_of_string n in
-      (Gen.ring ~n ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) n), None)
-  | [ "chordal"; n; chords ] ->
-      ( Gen.chordal_ring rng ~n:(int_of_string n) ~chords:(int_of_string chords)
-          (Gen.Uniform_int (1, 10)),
-        None )
-  | [ "er"; n; p ] ->
-      ( Gen.erdos_renyi rng ~n:(int_of_string n) ~p:(float_of_string p)
-          (Gen.Uniform_int (1, 10)),
-        None )
-  | [ "ba"; n; m ] ->
-      ( Gen.barabasi_albert rng ~n:(int_of_string n) ~m:(int_of_string m)
-          (Gen.Uniform_int (1, 10)),
-        None )
-  | [ "as"; n; m ] ->
-      let g, annotations =
-        Gen.as_like rng ~n:(int_of_string n) ~m:(int_of_string m)
-          (Gen.Uniform_int (1, 10))
-      in
-      (g, Some annotations)
-  | [ "waxman"; n ] ->
-      ( Gen.waxman rng ~n:(int_of_string n) ~alpha:0.7 ~beta:0.4
-          (Gen.Uniform_int (1, 10)),
-        None )
-  | _ -> fail ()
+  let nat s =
+    match int_of_string_opt s with
+    | Some v when v >= 0 -> v
+    | _ -> invalid (Printf.sprintf "%S is not a non-negative integer" s)
+  in
+  try
+    match String.split_on_char ':' spec with
+    | [ "fig1" ] -> (fst (Gen.figure1 ()), None)
+    | [ "torus"; rows; cols ] ->
+        let rows = nat rows and cols = nat cols in
+        ( Gen.torus ~rows ~cols
+            ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) (rows * cols)),
+          None )
+    | [ "ring"; n ] ->
+        let n = nat n in
+        (Gen.ring ~n ~costs:(Gen.draw_costs rng (Gen.Uniform_int (1, 10)) n), None)
+    | [ "chordal"; n; chords ] ->
+        ( Gen.chordal_ring rng ~n:(nat n) ~chords:(nat chords)
+            (Gen.Uniform_int (1, 10)),
+          None )
+    | [ "er"; n; p ] ->
+        let p =
+          match float_of_string_opt p with
+          | Some v when v >= 0. && v <= 1. -> v
+          | _ -> invalid (Printf.sprintf "edge probability %S is not in [0,1]" p)
+        in
+        (Gen.erdos_renyi rng ~n:(nat n) ~p (Gen.Uniform_int (1, 10)), None)
+    | [ "ba"; n; m ] ->
+        ( Gen.barabasi_albert rng ~n:(nat n) ~m:(nat m) (Gen.Uniform_int (1, 10)),
+          None )
+    | [ "as"; n; m ] ->
+        let g, annotations =
+          Gen.as_like rng ~n:(nat n) ~m:(nat m) (Gen.Uniform_int (1, 10))
+        in
+        (g, Some annotations)
+    | [ "waxman"; n ] ->
+        ( Gen.waxman rng ~n:(nat n) ~alpha:0.7 ~beta:0.4
+            (Gen.Uniform_int (1, 10)),
+          None )
+    | _ ->
+        invalid
+          "unknown kind or arity (expected fig1 | ring:N | torus:R:C | \
+           chordal:N:CHORDS | er:N:P | ba:N:M | as:N:M | waxman:N)"
+  with
+  | Invalid_argument reason -> invalid reason
+  | Gen.Edge_shortfall { requested; added } ->
+      invalid
+        (Printf.sprintf "only %d of the %d requested random edges fit" added
+           requested)
 
 let parse_topology spec seed = fst (parse_topology_full spec seed)
 
