@@ -248,11 +248,11 @@ let experiment_tests =
       Test.make ~name:"analyze_fig1"
         (Staged.stage
            (* the static pass alone (no differential): taint fixpoint +
-              two-seat abstract frontier over the whole adversary
-              vocabulary — ~60-70x cheaper than verify_fig1's product
-              exploration on fig1 (the smallest instance; the E25 >=100x
-              subsumption claim is carried by the torus_n12 pair below,
-              where the exploration is big enough to dominate). *)
+              Explore's product kernel at one faithful seat over the
+              whole adversary vocabulary — about 8-14x cheaper than
+              verify_fig1's product exploration on fig1 (the smallest
+              instance; the E25 subsumption ratio is carried by the
+              torus_n12 pair below, where the exploration dominates). *)
            (let module Analyze = Damd_speccheck.Analyze in
             let labels = Adversary.all_labels in
             fun () ->
@@ -272,10 +272,11 @@ let experiment_tests =
       Test.make ~name:"analyze_torus_n12"
         (Staged.stage
            (* the static side of the pair: same IR, same adversary
-              vocabulary, same topology. The abstract frontier never
+              vocabulary, same topology. The one-seat frontier never
               walks the graph, so this stays within noise of
-              analyze_fig1 while explore_torus_n12 is >=100x larger —
-              the measured form of the E25 claim. *)
+              analyze_fig1 while explore_torus_n12 is about 15-28x
+              larger (2-vCPU KVM host) — the measured form of the E25
+              claim. *)
            (let module Analyze = Damd_speccheck.Analyze in
             let labels = Adversary.all_labels in
             fun () ->

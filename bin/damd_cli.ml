@@ -781,8 +781,9 @@ let analyze_bound_arg =
   Arg.(
     value & opt int 200_000
     & info [ "bound" ] ~docv:"N"
-        ~doc:"Per-scenario abstract-state cap (safety net; the two-seat \
-              abstraction stays far below it).")
+        ~doc:"Per-scenario state cap of the one-faithful-seat frontier run \
+              (safety net: the stock spec needs under 100 states per \
+              scenario).")
 
 let differential_arg =
   Arg.(
