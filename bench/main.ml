@@ -165,6 +165,8 @@ let experiment_tests =
              let deviations = Array.make 6 Adversary.Faithful in
              deviations.(2) <- Adversary.Miscompute_routing 2.;
              ignore (Runner.run ~graph:fig1 ~traffic:fig1_traffic ~deviations ())));
+      (* Cold DATA1-DATA3 at n=16: the n-fact flood, then Sparse's
+         fixpoints over all destinations and the dense tables. *)
       Test.make ~name:"e5_distributed_convergence_n16"
         (Staged.stage (fun () -> ignore (Distributed.run graph16)));
       Test.make ~name:"e6_plain_fpss_n8"
@@ -206,12 +208,22 @@ let experiment_tests =
         (Staged.stage (fun () ->
              let params = { Runner.default_params with Runner.latency_seed = Some 5 } in
              ignore (Runner.run_faithful ~params ~graph:graph8 ~traffic:traffic8 ())));
+      (* One warm restart after a single cost change, as E15 runs it:
+         the n-fact DATA1 flood plus Sparse.rerun on the state the last
+         call left behind. Node 3's cost (9 in graph16) alternates
+         between 1 and 9, so calls alternate a decrease and an
+         increase. *)
       Test.make ~name:"e15_warm_start_n16"
         (Staged.stage
-           (let cold = Distributed.run graph16 in
-            let changed = Graph.with_cost graph16 3 9. in
+           (let sp = Sparse.create graph16 in
+            Sparse.run sp;
+            let costs = [| 9.; 1. |] in
+            let calls = ref 0 in
             fun () ->
-              ignore (Distributed.run ~warm_start:cold.Distributed.tables changed)));
+              incr calls;
+              Sparse.update_cost sp 3 costs.(!calls land 1);
+              ignore (Distributed.flood_costs (Sparse.graph sp));
+              Sparse.rerun sp));
       Test.make ~name:"e16_faithful_election_n8"
         (Staged.stage
            (let module Election = Damd_faithful.Election in

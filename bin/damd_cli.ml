@@ -105,23 +105,35 @@ let parse_topology_full spec seed =
 
 let parse_topology spec seed = fst (parse_topology_full spec seed)
 
+(* [--deviant NODE:KIND[:PARAM]]: the parsers below raise
+   [Invalid_argument REASON]; [seat_deviants] reports it. *)
+let deviant_number conv what s =
+  match conv s with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "%s %S is not a number" what s)
+
 let parse_deviation spec =
   let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
-             misreport | inconsistent | corrupt-cost | drop-routing | drop-pricing | \
-             corrupt-routing | corrupt-pricing | spoof-routing | spoof-pricing | \
-             miscompute-routing | miscompute-pricing | underreport | misroute | \
-             silent | lying-checker | collude)"
-            spec))
+    invalid_arg
+      "expected NODE:KIND[:PARAM] with KIND one of misreport | inconsistent | \
+       corrupt-cost | drop-routing | drop-pricing | corrupt-routing | \
+       corrupt-pricing | spoof-routing | spoof-pricing | miscompute-routing | \
+       miscompute-pricing | underreport | misroute | silent | lying-checker | \
+       collude"
   in
   match String.split_on_char ':' spec with
   | node :: kind :: rest -> (
-      let node = int_of_string node in
-      let param default = match rest with [ p ] -> float_of_string p | _ -> default in
-      let iparam () = match rest with [ p ] -> int_of_string p | _ -> fail () in
+      let node = deviant_number int_of_string_opt "node" node in
+      let param default =
+        match rest with
+        | [ p ] -> deviant_number float_of_string_opt "parameter" p
+        | _ -> default
+      in
+      let iparam () =
+        match rest with
+        | [ p ] -> deviant_number int_of_string_opt "parameter" p
+        | _ -> fail ()
+      in
       let deviation =
         match kind with
         | "misreport" -> Adversary.Misreport_cost (param 5.)
@@ -145,6 +157,25 @@ let parse_deviation spec =
       (node, deviation))
   | _ -> fail ()
 
+(* Seat every --deviant SPEC on an [n]-node topology. A malformed SPEC or
+   an out-of-range node is a command-line error, reported like a malformed
+   topology: one line on stderr, exit 124. *)
+let seat_deviants ~n ~faithful parse specs =
+  let deviations = Array.make n faithful in
+  List.iter
+    (fun spec ->
+      let invalid reason =
+        Printf.eprintf "damd: invalid --deviant %s: %s\n" spec reason;
+        exit 124
+      in
+      match parse spec with
+      | who, d when who >= 0 && who < n -> deviations.(who) <- d
+      | who, _ ->
+          invalid (Printf.sprintf "node %d is out of range (0..%d)" who (n - 1))
+      | exception Invalid_argument reason -> invalid reason)
+    specs;
+  deviations
+
 let run_routing topology seed deviants no_checking no_copies deferred latency loss
     hotspots rate verbose =
   let g = parse_topology topology seed in
@@ -153,14 +184,9 @@ let run_routing topology seed deviants no_checking no_copies deferred latency lo
     if hotspots > 0 then Traffic.hotspot (Rng.create (seed + 1)) ~n ~hotspots ~rate
     else Traffic.uniform ~n ~rate
   in
-  let deviations = Array.make n Adversary.Faithful in
-  List.iter
-    (fun spec ->
-      let who, d = parse_deviation spec in
-      if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
-      deviations.(who) <- d)
-    deviants;
+  let deviations =
+    seat_deviants ~n ~faithful:Adversary.Faithful parse_deviation deviants
+  in
   let params =
     {
       Runner.default_params with
@@ -362,19 +388,20 @@ let verbose =
 
 let parse_election_deviation spec =
   let fail () =
-    raise
-      (Invalid_argument
-         (Printf.sprintf
-            "bad --deviant %S (expected NODE:KIND[:PARAM] with KIND one of \
-             underbid | overbid | misreport-cost | inconsistent | corrupt-forward | \
-             miscompute-winner | refuse)"
-            spec))
+    invalid_arg
+      "expected NODE:KIND[:PARAM] with KIND one of underbid | overbid | \
+       misreport-cost | inconsistent | corrupt-forward | miscompute-winner | \
+       refuse"
   in
   let module Election = Damd_faithful.Election in
   match String.split_on_char ':' spec with
   | node :: kind :: rest -> (
-      let node = int_of_string node in
-      let param default = match rest with [ p ] -> float_of_string p | _ -> default in
+      let node = deviant_number int_of_string_opt "node" node in
+      let param default =
+        match rest with
+        | [ p ] -> deviant_number float_of_string_opt "parameter" p
+        | _ -> default
+      in
       let deviation =
         match kind with
         | "underbid" -> Election.Underbid_power
@@ -395,14 +422,9 @@ let run_election topology seed deviants no_checking benefit =
   let g = parse_topology topology seed in
   let n = Graph.n g in
   let profile = Leader.sample_profile ~n (Rng.create (seed + 10)) in
-  let deviations = Array.make n Election.Honest in
-  List.iter
-    (fun spec ->
-      let who, d = parse_election_deviation spec in
-      if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
-      deviations.(who) <- d)
-    deviants;
+  let deviations =
+    seat_deviants ~n ~faithful:Election.Honest parse_election_deviation deviants
+  in
   let params =
     { Election.default_params with Election.checking = not no_checking; benefit }
   in
@@ -457,13 +479,6 @@ let run_lint topology seed mutate json_path list_mutations =
       Speccheck.Mutate.names
   else begin
     let g = parse_topology topology seed in
-    (match mutate with
-    | Some m when not (Speccheck.Mutate.known m) ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf
-                "unknown mutation %S (see `damd lint --list-mutations`)" m))
-    | _ -> ());
     let report =
       Lint.run ~adversary:Adversary.all_labels ?mutation:mutate ~graph:g
         ~topology Damd_speccheck.Fpss_spec.ir
@@ -495,9 +510,10 @@ let run_lint topology seed mutate json_path list_mutations =
   end
 
 let mutate_arg =
+  let names = Damd_speccheck.Mutate.names in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (enum (List.map (fun m -> (m, m)) names))) None
     & info [ "mutate" ] ~docv:"RULE"
         ~doc:
           "Lint a seeded mutation of the stock spec instead (e.g. \
@@ -521,29 +537,13 @@ let list_mutations_arg =
 
 (* --- the flow verifier --- *)
 
-let run_verify topology seed mutate json_path bound por_s domains key_audit
+let run_verify topology seed mutate json_path bound por domains key_audit
     trace_out =
   let module Speccheck = Damd_speccheck in
   let module Check = Speccheck.Check in
   let module Explore = Speccheck.Explore in
   let module Verify = Speccheck.Verify in
   let g = parse_topology topology seed in
-  (match mutate with
-  | Some m when not (Speccheck.Mutate.known m) ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown mutation %S (see `damd lint --list-mutations`)" m))
-  | _ -> ());
-  let por =
-    match por_s with
-    | "on" -> true
-    | "off" -> false
-    | s ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "bad --por %S (expected on | off)" s))
-  in
   let obs =
     match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
   in
@@ -636,7 +636,8 @@ let verify_json_arg =
 
 let por_arg =
   Arg.(
-    value & opt string "on"
+    value
+    & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "por" ] ~docv:"on|off"
         ~doc:
           "Partial-order reduction for the exploration layer: prune \
@@ -670,13 +671,6 @@ let run_analyze topology seed mutate json_path bound differential
   let module Absint = Speccheck.Absint in
   let module Analyze = Speccheck.Analyze in
   let g = parse_topology topology seed in
-  (match mutate with
-  | Some m when not (Speccheck.Mutate.known m) ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf
-              "unknown mutation %S (see `damd lint --list-mutations`)" m))
-  | _ -> ());
   let obs =
     match trace_out with None -> Obs.noop | Some _ -> Obs.memory ()
   in
@@ -804,23 +798,11 @@ let explore_bound_arg =
 
 (* --- the TLA+ backend --- *)
 
-let run_tla deviation nodes seat stall isolated out cfg_out =
+let run_tla dev nodes seat stall isolated out cfg_out =
   let module Speccheck = Damd_speccheck in
   let module Tla = Speccheck.Tla in
   let module Dev = Speccheck.Dev in
   let ir = Damd_speccheck.Fpss_spec.ir in
-  let dev =
-    match
-      List.find_opt (fun d -> Dev.to_string d = deviation) Dev.all
-    with
-    | Some d -> d
-    | None ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf "unknown deviation %S (expected one of %s)"
-                deviation
-                (String.concat " | " (List.map Dev.to_string Dev.all))))
-  in
   let stall = stall || dev = Dev.Silent_in_construction in
   let module_text = Tla.emit ir in
   (match out with
@@ -844,8 +826,12 @@ let run_tla deviation nodes seat stall isolated out cfg_out =
         (Dev.to_string dev) nodes
 
 let tla_deviation_arg =
+  let module Dev = Damd_speccheck.Dev in
   Arg.(
-    value & opt string "miscompute-routing"
+    value
+    & opt
+        (enum (List.map (fun d -> (Dev.to_string d, d)) Dev.all))
+        Dev.Miscompute_routing
     & info [ "deviation" ] ~docv:"LABEL"
         ~doc:
           "Deviation the --cfg instance targets (a Dev.t label, e.g. \
@@ -896,19 +882,9 @@ let tla_cfg_arg =
 
 (* --- the adversarial gauntlet --- *)
 
-let run_gauntlet campaigns seed weaken_s json_path replay no_shrink faults
+let run_gauntlet campaigns seed weaken json_path replay no_shrink faults
     epsilon trace_out =
   let module Campaign = Damd_gauntlet.Campaign in
-  let weaken =
-    match Campaign.weaken_of_string weaken_s with
-    | Some w -> w
-    | None ->
-        raise
-          (Invalid_argument
-             (Printf.sprintf
-                "bad --weaken %S (expected none | pricing | settlement | all)"
-                weaken_s))
-  in
   let mix = { Campaign.faults; epsilon } in
   let trace_meta extra =
     [ ("command", Json.String "gauntlet");
@@ -1042,14 +1018,9 @@ let run_trace topology seed deviants rate out =
   let g = parse_topology topology seed in
   let n = Graph.n g in
   let traffic = Traffic.uniform ~n ~rate in
-  let deviations = Array.make n Adversary.Faithful in
-  List.iter
-    (fun spec ->
-      let who, d = parse_deviation spec in
-      if who < 0 || who >= n then
-        raise (Invalid_argument (Printf.sprintf "deviant node %d out of range" who));
-      deviations.(who) <- d)
-    deviants;
+  let deviations =
+    seat_deviants ~n ~faithful:Adversary.Faithful parse_deviation deviants
+  in
   let obs = Obs.memory ~detail:true () in
   let params = { Runner.default_params with Runner.obs = obs } in
   let r = Runner.run ~params ~graph:g ~traffic ~deviations () in
@@ -1105,8 +1076,14 @@ let campaigns_arg =
     & info [ "n"; "campaigns" ] ~docv:"N" ~doc:"Number of campaigns to run.")
 
 let weaken_arg =
+  let module Campaign = Damd_gauntlet.Campaign in
+  let weakens =
+    Campaign.[ No_weaken; Weaken_pricing; Weaken_settlement; Weaken_all ]
+  in
   Arg.(
-    value & opt string "none"
+    value
+    & opt (enum (List.map (fun w -> (Campaign.weaken_name w, w)) weakens))
+        Campaign.No_weaken
     & info [ "weaken" ] ~docv:"WHICH"
         ~doc:
           "Deliberately weaken the bank: none | pricing (skip the BANK2 \

@@ -6,7 +6,8 @@
      dune exec bin/experiments.exe -- e4 e7     # selected experiments
      dune exec bin/experiments.exe -- --quick   # smaller sweeps
 
-   EXPERIMENTS.md records the expected (paper) versus measured outcomes. *)
+   The run exits 1 if any verdict line reads [FAIL]. EXPERIMENTS.md
+   records the expected (paper) versus measured outcomes. *)
 
 module Rng = Damd_util.Rng
 module Table = Damd_util.Table
@@ -22,6 +23,7 @@ module Pricing = Damd_fpss.Pricing
 module Tables = Damd_fpss.Tables
 module Game = Damd_fpss.Game
 module Distributed = Damd_fpss.Distributed
+module Sparse = Damd_fpss.Sparse
 module Equilibrium = Damd_core.Equilibrium
 module Faithfulness = Damd_core.Faithfulness
 module Adversary = Damd_faithful.Adversary
@@ -62,7 +64,11 @@ let emit t =
       output_string oc (Table.to_csv t);
       close_out oc
 
+(* Any [FAIL] verdict makes the run exit 1 once every experiment printed. *)
+let any_failed = ref false
+
 let verdict ok label =
+  if not ok then any_failed := true;
   Printf.printf "%s %s\n" (if ok then "[OK]  " else "[FAIL]") label
 
 let fig1 = lazy (Gen.figure1 ())
@@ -863,32 +869,40 @@ let e15 ~quick =
   List.iter
     (fun n ->
       let g = Gen.chordal_ring rng ~n ~chords:(n / 4) (Gen.Uniform_int (1, 10)) in
-      let before = Distributed.run g in
-      let changed =
-        Graph.with_cost g (Rng.int rng n) (float_of_int (Rng.int_in rng 1 10))
+      let sp = Sparse.create g in
+      Sparse.run sp;
+      let c = float_of_int (Rng.int_in rng 1 10) in
+      let who = Rng.int rng n in
+      let changed = Graph.with_cost g who c in
+      (* Warm restart: reconverge the cold run's state after the change.
+         Like the cold run it is charged the n-fact DATA1 flood. *)
+      Sparse.update_cost sp who c;
+      let fixpoint_msgs0 = Sparse.messages sp in
+      Sparse.rerun sp;
+      let warm_rounds = Sparse.rounds_routing sp + Sparse.rounds_pricing sp in
+      let warm_messages =
+        snd (Distributed.flood_costs changed) + Sparse.messages sp - fixpoint_msgs0
       in
-      let warm = Distributed.run ~warm_start:before.Distributed.tables changed in
+      let warm_tables = Sparse.to_tables sp in
       let cold = Distributed.run changed in
       let reference = Pricing.compute changed in
       let exact =
-        Tables.routing_equal warm.Distributed.tables reference
-        && Tables.prices_equal warm.Distributed.tables reference
+        Tables.routing_equal warm_tables reference
+        && Tables.prices_equal warm_tables reference
       in
       if not exact then all_exact := false;
-      if warm.Distributed.messages >= cold.Distributed.messages then
-        always_cheaper := false;
+      if warm_messages >= cold.Distributed.messages then always_cheaper := false;
       Table.add_row t
         [
           string_of_int n;
           string_of_int (cold.Distributed.rounds_routing + cold.Distributed.rounds_pricing);
-          string_of_int (warm.Distributed.rounds_routing + warm.Distributed.rounds_pricing);
+          string_of_int warm_rounds;
           string_of_int cold.Distributed.messages;
-          string_of_int warm.Distributed.messages;
+          string_of_int warm_messages;
           Printf.sprintf "%.0f%%"
             (100.
             *. (1.
-               -. (float_of_int warm.Distributed.messages
-                  /. float_of_int cold.Distributed.messages)));
+               -. (float_of_int warm_messages /. float_of_int cold.Distributed.messages)));
           string_of_bool exact;
         ])
     sizes;
@@ -1165,7 +1179,8 @@ let run_selected names quick out seed =
           names
   in
   List.iter (fun (_, f) -> f ~quick) to_run;
-  print_newline ()
+  print_newline ();
+  if !any_failed then exit 1
 
 open Cmdliner
 

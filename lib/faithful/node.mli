@@ -82,6 +82,11 @@ val reset_execution : t -> unit
 
 (** {2 Phase 1 — transit-cost flood} *)
 
+val declared_cost_for : t -> neighbor_index:int -> float
+(** The cost the node declares to its [neighbor_index]-th neighbor (in
+    ascending id order): its true cost, or what its deviation or
+    Byzantine plan says to tell that neighbor. *)
+
 val announce_cost : t -> send -> unit
 (** Originate the node's own cost announcement (deviations: misreport /
     inconsistent values per neighbor). *)

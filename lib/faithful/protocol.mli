@@ -10,10 +10,11 @@
     ([DATA3*], with identity tags), plus the canonical serializations the
     bank hashes.
 
-    The pricing recurrence is the distributed-FPSS one (see
-    [Damd_fpss.Distributed]); identity tags record which neighbor(s)
-    achieved the minimum — the "source of change" of §4.3, whose
-    inconsistency exposes spoofed pricing updates. *)
+    The pricing recurrence is the distributed-FPSS one (derived in
+    [Damd_fpss.Distributed], computed by [Damd_fpss.Sparse]); identity
+    tags record which neighbor(s) achieved the minimum — the "source of
+    change" of §4.3, whose inconsistency exposes spoofed pricing
+    updates. *)
 
 type entry = Damd_graph.Dijkstra.entry
 

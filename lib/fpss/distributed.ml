@@ -50,198 +50,34 @@ let flood_costs g =
   (* The final round carried no news; don't count it as convergence work. *)
   (max 0 (!rounds - 1), !messages)
 
-let infinity_cost = infinity
-
-let entry_equal (a : Dijkstra.entry option) (b : Dijkstra.entry option) =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> a.Dijkstra.cost = b.Dijkstra.cost && a.Dijkstra.path = b.Dijkstra.path
-  | _ -> false
-
-(* Change-driven fixpoint skeleton shared by DATA2 and DATA3.
-
-   Invariant (documented in DESIGN.md §9): entry (i, j) computed in round r
-   is a pure function of the neighbors' j-entries at round r-1, so it can
-   only differ from its round r-1 value when some neighbor's j-entry changed
-   in round r-1. [dirty.(a)] holds exactly the destinations whose entry in
-   [a]'s table changed last round; a node recomputes only the union of its
-   neighbors' dirty sets. Round 1 recomputes everything — that matches the
-   cold full sweep and also repairs any stale warm-start state. Updates are
-   buffered and applied after the whole round so every recomputation reads
-   round r-1 state (Jacobi iteration), exactly like the reference full
-   sweep; the per-round changed-node sets — and therefore the round and
-   message counts — are identical to the reference implementation. *)
-let fixpoint ~max_rounds ~stage ~equal ~recompute ~skip_diagonal g state =
-  let n = Graph.n g in
-  let rounds = ref 0 and messages = ref 0 in
-  let dirty = Array.make n [] in
-  let stamp = Array.make n (-1) in
-  let epoch = ref 0 in
-  let first = ref true in
-  let changed_nodes = ref (List.init n (fun i -> i)) in
-  while !changed_nodes <> [] do
-    incr rounds;
-    if !rounds > max_rounds then
-      failwith (Printf.sprintf "Distributed: %s did not converge" stage);
-    (* Change-driven messaging: every node whose table changed last round
-       announces to all neighbors. *)
-    List.iter (fun i -> messages := !messages + Graph.degree g i) !changed_nodes;
-    let updates = ref [] in
-    let round_changed = ref [] in
-    let next_dirty = Array.make n [] in
-    for i = 0 to n - 1 do
-      let row_changed = ref false in
-      let consider j =
-        if not (skip_diagonal && j = i) then begin
-          let v = recompute i j in
-          if not (equal v state.(i).(j)) then begin
-            updates := (i, j, v) :: !updates;
-            next_dirty.(i) <- j :: next_dirty.(i);
-            row_changed := true
-          end
-        end
-      in
-      if !first then
-        for j = 0 to n - 1 do
-          consider j
-        done
-      else begin
-        incr epoch;
-        Array.iter
-          (fun a ->
-            List.iter
-              (fun j ->
-                if stamp.(j) <> !epoch then begin
-                  stamp.(j) <- !epoch;
-                  consider j
-                end)
-              dirty.(a))
-          (Graph.neighbors_arr g i)
-      end;
-      if !row_changed then round_changed := i :: !round_changed
-    done;
-    List.iter (fun (i, j, v) -> state.(i).(j) <- v) !updates;
-    Array.blit next_dirty 0 dirty 0 n;
-    changed_nodes := !round_changed;
-    first := false
-  done;
-  (* Convergence is detected one round after the last change. *)
-  (state, max 0 (!rounds - 1), !messages)
-
-(* DATA2: synchronous path-vector Bellman-Ford under the canonical order
-   (cost, hops, lex path) — identical tie-breaking to [Dijkstra]. *)
-let routing_fixpoint ?(max_rounds = 1000) ?init g =
-  let n = Graph.n g in
-  let state =
-    match init with
-    | Some (tables : Dijkstra.entry option array array) ->
-        Array.map Array.copy tables
-    | None -> Array.init n (fun _ -> Array.make n None)
-  in
-  for i = 0 to n - 1 do
-    state.(i).(i) <- Some { Dijkstra.cost = 0.; path = [ i ] }
-  done;
-  let recompute i j =
-    let best = ref None in
-    Array.iter
-      (fun a ->
-        match state.(a).(j) with
-        | Some e when not (List.mem i e.Dijkstra.path) ->
-            let step = if a = j then 0. else Graph.cost g a in
-            let cand =
-              { Dijkstra.cost = e.Dijkstra.cost +. step; path = i :: e.Dijkstra.path }
-            in
-            (match !best with
-            | None -> best := Some cand
-            | Some b -> if Dijkstra.compare_entry cand b < 0 then best := Some cand)
-        | _ -> ())
-      (Graph.neighbors_arr g i);
-    !best
-  in
-  fixpoint ~max_rounds ~stage:"routing" ~equal:entry_equal ~recompute
-    ~skip_diagonal:true g state
-
-(* DATA3: pricing fixpoint over the converged routing tables. *)
-let pricing_fixpoint ?(max_rounds = 1000) ?init g routing =
-  let n = Graph.n g in
-  let dist i j =
-    match routing.(i).(j) with
-    | Some e -> e.Dijkstra.cost
-    | None -> infinity_cost
-  in
-  let on_path k i j =
-    match routing.(i).(j) with
-    | Some e -> List.mem k e.Dijkstra.path
-    | None -> false
-  in
-  let state =
-    match init with
-    | Some (prices : (int * float) list array array) -> Array.map Array.copy prices
-    | None -> Array.init n (fun _ -> Array.make n ([] : (int * float) list))
-  in
-  let recompute i j =
-    if i = j then []
-    else
-      match routing.(i).(j) with
-      | None -> []
-      | Some e ->
-          let price_for k =
-            (* d(-k)(i,j) via each neighbor a <> k. *)
-            let via a =
-              if a = k then infinity_cost
-              else begin
-                let step = if a = j then 0. else Graph.cost g a in
-                let d_mk_a =
-                  if a = j then 0.
-                  else if not (on_path k a j) then dist a j
-                  else
-                    match List.assoc_opt k state.(a).(j) with
-                    | Some p -> p -. Graph.cost g k +. dist a j
-                    | None -> infinity_cost
-                in
-                step +. d_mk_a
-              end
-            in
-            let d_mk =
-              Array.fold_left (fun acc a -> Float.min acc (via a)) infinity_cost
-                (Graph.neighbors_arr g i)
-            in
-            if Float.is_finite d_mk then
-              Some (k, Graph.cost g k +. d_mk -. dist i j)
-            else None
-          in
-          List.filter_map price_for (Dijkstra.transit_nodes e.Dijkstra.path)
-          |> List.sort by_transit
-  in
-  fixpoint ~max_rounds ~stage:"pricing" ~equal:( = ) ~recompute
-    ~skip_diagonal:false g state
-
-let run ?max_rounds ?warm_start g =
-  let n = Graph.n g in
-  let max_rounds = match max_rounds with Some r -> r | None -> (10 * n) + 20 in
+(* DATA2 and DATA3 run on [Sparse] over the full destination set: the
+   change-driven Jacobi fixpoints with the canonical (cost, hops, lex path)
+   tie-break, whose dense tables [to_tables] rebuilds. DATA1 keeps the
+   n-fact flood above, so [messages] counts what the all-pairs protocol
+   sends: flood plus fixpoint announcements. *)
+let run ?max_rounds g =
   let rounds_flood, flood_msgs = flood_costs g in
-  let routing_init = Option.map (fun t -> t.Tables.routing) warm_start in
-  let pricing_init = Option.map (fun t -> t.Tables.prices) warm_start in
-  let routing, rounds_routing, routing_msgs =
-    routing_fixpoint ~max_rounds ?init:routing_init g
-  in
-  let prices, rounds_pricing, pricing_msgs =
-    pricing_fixpoint ~max_rounds ?init:pricing_init g routing
-  in
+  let s = Sparse.create g in
+  Sparse.routing_fixpoint ?max_rounds s;
+  Sparse.pricing_fixpoint ?max_rounds s;
   {
-    tables = { Tables.routing; prices };
+    tables = Sparse.to_tables s;
     rounds_flood;
-    rounds_routing;
-    rounds_pricing;
-    messages = flood_msgs + routing_msgs + pricing_msgs;
+    rounds_routing = Sparse.rounds_routing s;
+    rounds_pricing = Sparse.rounds_pricing s;
+    messages = flood_msgs + Sparse.messages s;
   }
 
 (* --- Reference implementation ---
 
-   The pre-dirty-set full sweep: every round recomputes all n^2 entries and
-   compares whole rows. Kept as the oracle for the equivalence tests in
-   [test/test_fpss.ml], which assert that the change-driven fixpoints above
-   produce identical tables, round counts and message counts. *)
+   The dense full sweep: every round recomputes all n^2 entries and
+   compares whole rows, on explicit path-vector tables. Kept as the oracle
+   for the equivalence tests in [test/test_fpss.ml], which assert that
+   [run] produces identical tables, round counts and message counts from a
+   cold start, and that a [Sparse] warm restart reaches the same tables as
+   the [?warm_start] sweep below. *)
+
+let infinity_cost = infinity
 
 let reference_routing_fixpoint ?(max_rounds = 1000) ?init g =
   let n = Graph.n g in

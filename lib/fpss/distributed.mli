@@ -3,11 +3,13 @@
     FPSS distribute the VCG computation over the nodes themselves:
     iterative exchanges with neighbors build [DATA1] (transit costs, a
     flood), then [DATA2] (routing tables, path-vector Bellman–Ford) and
-    [DATA3] (pricing tables). This module is the *obedient* reference
-    implementation of that computation, run in deterministic synchronous
-    rounds; the faithful extension ([Damd_faithful]) re-implements the same
-    update rules as per-node message handlers on the simulator, with
-    checkers mirroring them.
+    [DATA3] (pricing tables). This module is the *obedient* version of
+    that computation over all n destinations, run in deterministic
+    synchronous rounds: the DATA1 flood carries every node's cost fact,
+    and DATA2/DATA3 are [Sparse]'s change-driven fixpoints with the full
+    destination set, returned as dense [Tables.t]. The faithful extension
+    ([Damd_faithful]) re-implements the same update rules as per-node
+    message handlers on the simulator, with checkers mirroring them.
 
     The pricing recurrence (derived in DESIGN.md §5): for transit node [k]
     on [i]'s LCP to [j],
@@ -33,18 +35,17 @@ type result = {
   messages : int;  (** change-driven table/flood messages sent in total *)
 }
 
-val run : ?max_rounds:int -> ?warm_start:Tables.t -> Damd_graph.Graph.t -> result
-(** Execute all three construction stages. Raises [Failure] if any stage
-    fails to converge within [max_rounds] (default 10 * n + 20) rounds —
-    which cannot happen on a connected graph.
+val run : ?max_rounds:int -> Damd_graph.Graph.t -> result
+(** Execute all three construction stages from a cold start: the n-fact
+    [flood_costs], then [Sparse.create], [Sparse.routing_fixpoint],
+    [Sparse.pricing_fixpoint] and [Sparse.to_tables]. [messages] is the
+    flood's plus the fixpoints'. Raises [Failure] if a fixpoint fails to
+    converge within [max_rounds] (default 10 * n + 20) rounds — which
+    cannot happen on a connected graph.
 
-    [warm_start] seeds the routing and pricing state from previously
-    converged tables instead of from scratch — the incremental-update
-    scenario of experiment E15: after a single cost change, re-convergence
-    from the old tables is much cheaper than a cold start. The fixpoint
-    reached is identical (recompute-from-neighbors semantics make the
-    iteration self-correcting; verified against the centralized mechanism
-    in the tests). *)
+    There is no warm start here: after a cost change, reconverge a
+    [Sparse.t] with [Sparse.update_cost] and [Sparse.rerun] (experiment
+    E15). *)
 
 val flood_costs : Damd_graph.Graph.t -> int * int
 (** Just the DATA1 flood: (rounds, messages). Every node learns every
@@ -52,9 +53,14 @@ val flood_costs : Damd_graph.Graph.t -> int * int
 
 val run_reference :
   ?max_rounds:int -> ?warm_start:Tables.t -> Damd_graph.Graph.t -> result
-(** The pre-optimization full-sweep fixpoints: every round recomputes all
-    n^2 table entries and compares whole rows. [run] keeps per-node dirty
-    destination sets and recomputes only entries whose inputs changed; this
-    reference is retained solely as the oracle for the equivalence tests,
-    which assert that [run] produces identical tables, round counts and
-    message counts. Do not use it outside tests. *)
+(** The dense full-sweep fixpoints on path-vector tables: every round
+    recomputes all n^2 table entries and compares whole rows. It is the
+    test oracle only; do not use it outside tests. From a cold start [run]
+    matches it exactly: tables, all three round counts and messages.
+
+    [warm_start] seeds the routing and pricing state from previously
+    converged tables. A [Sparse] warm restart after the same cost change
+    reaches identical tables, but its round and message counts may differ:
+    flat next-hop state has no path to loop-check, so after a cost
+    increase stale loops count up for a round or two where this sweep's
+    [List.mem i path] test drops them at once. *)

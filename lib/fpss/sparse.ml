@@ -180,11 +180,14 @@ let recompute_routing t i s =
     (Graph.neighbors_arr t.g i);
   (!best_d, !best_h, !best_a)
 
-(* Change-driven Jacobi fixpoint on flat state — the skeleton of
-   [Distributed.fixpoint] with (node, slot) pairs instead of matrix
-   cells: updates are buffered and applied after the round, a node only
-   recomputes the union of its neighbors' dirty slots, and a changed node
-   announces to all neighbors (degree messages). *)
+(* Change-driven Jacobi fixpoint on flat state, over (node, slot) pairs.
+   Invariant (DESIGN.md §9): pair (i, s) at round r is a pure function of
+   the neighbors' s-entries at round r-1. Updates are buffered and applied
+   after the round, a node only recomputes the union of its neighbors'
+   dirty slots (round 1 recomputes everything, which also repairs stale
+   warm-restart state), and a changed node announces to all neighbors
+   (degree messages) — so from a cold start the per-round changed-node
+   sets, rounds and messages equal the dense full sweep's. *)
 let fixpoint ~max_rounds ~stage ~changed ~recompute ~apply t =
   let g = t.g in
   let n = Graph.n g in
@@ -292,7 +295,7 @@ let routing_fixpoint ?max_rounds ?offsets t =
         ]
       "sparse.routing.done"
 
-(* DATA3: the pricing recurrence of [Distributed.pricing_fixpoint] on
+(* DATA3: the pricing recurrence of DESIGN.md §5 (see [Distributed]) on
    announced sparse routing state. Runs only after routing converged, so
    next-hop chains are stable and loop-free and [chain_mem] is an exact
    stand-in for the dense [on_path]. *)
@@ -384,7 +387,11 @@ let run ?max_rounds ?routing_offsets ?pricing_offsets t =
    toward the destination (strictly decreasing hop counts), so stale
    price entries cannot sustain a self-consistent wrong cycle. Hence a
    warm rerun lands on byte-identical state to a cold run — the property
-   the differential tests pin against [Distributed.run ~warm_start]. *)
+   the differential tests pin against [Distributed.run_reference
+   ~warm_start]. Round and message counts may differ from that reference:
+   flat next-hop state has no path to loop-check, so after a cost increase
+   stale loops count up for a round or two where the dense sweep's
+   [List.mem i path] test drops them at once. *)
 
 let update_cost t i c =
   if i < 0 || i >= Graph.n t.g then invalid_arg "Sparse.update_cost: node";

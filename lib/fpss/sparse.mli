@@ -1,9 +1,10 @@
-(** Flat-array, destination-restricted FPSS state — the n=10k engine.
+(** Flat-array, destination-restricted FPSS state — the one obedient
+    DATA2/DATA3 kernel, from fig. 1 to n=10k.
 
-    [Distributed] keeps per-node dense tables ([Array.init n (fun _ ->
-    Array.make n ...)]): O(n^2) cells per table, ~100M at n=10k, with a
-    boxed entry record and a full path list per cell. This module is the
-    same change-driven Jacobi computation on a flat representation:
+    Dense path-vector tables ([Distributed.run_reference], the test
+    oracle) hold O(n^2) cells per table, ~100M at n=10k, with a boxed
+    entry record and a full path list per cell. This module is the
+    change-driven Jacobi computation on a flat representation:
 
     - routing state is three unboxed scalars per (node, destination) —
       announced cost, hop count and next hop — in [n*k] arrays indexed
@@ -17,7 +18,9 @@
       neighbor id), which is what the flat state stores.
 
     With the full destination set the converged tables are byte-identical
-    to [Distributed] (see [to_tables] and the equivalence tests).
+    to the dense reference (see [to_tables] and the equivalence tests);
+    [Distributed.run] is exactly that full-destination run plus the n-fact
+    DATA1 flood.
 
     The [?offsets] hooks run the fixpoints over *announced* rows — node
     [i]'s stored entry is its honest recomputation plus [offsets.(i)] —

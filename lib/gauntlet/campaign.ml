@@ -8,6 +8,7 @@ module Pricing = Damd_fpss.Pricing
 module Tables = Damd_fpss.Tables
 module Adversary = Damd_faithful.Adversary
 module Runner = Damd_faithful.Runner
+module Node = Damd_faithful.Node
 module Bank = Damd_faithful.Bank
 module Fault = Damd_sim.Fault
 module Obs = Damd_obs.Obs
@@ -302,16 +303,35 @@ let params_of weaken descr =
     max_events = 200_000;
   }
 
-(* The oracle's input: [Misreport_cost] is a *consistent* declaration the
-   mechanism must honor (strategyproofness, not checking, neutralizes
-   it), so the centralized reference runs on the declared costs. *)
-let declared_graph g deviants =
-  List.fold_left
-    (fun g (i, d) ->
-      match d with
-      | Adversary.Misreport_cost c -> Graph.with_cost g i c
-      | _ -> g)
-    g deviants
+(* The oracle's input: a deviant that tells every neighbor the same cost
+   has made a *consistent* declaration the mechanism must honor
+   (strategyproofness, not checking, neutralizes it), so the centralized
+   reference runs on the declared costs. The per-neighbor values come from
+   [Node.declared_cost_for], the rule the node announces with — which
+   covers [Misreport_cost] and a [Byzantine_arbitrary] plan declaring the
+   same cost to even and odd neighbors. [deviations] are the resolved
+   behaviors the campaign ran. *)
+let declared_graph g deviations =
+  let n = Graph.n g in
+  let neighbor_sets = Array.init n (Graph.neighbors g) in
+  let declared = ref g in
+  Array.iteri
+    (fun i deviation ->
+      if deviation <> Adversary.Faithful then begin
+        let node =
+          Node.create ~id:i ~n ~neighbor_sets ~true_cost:(Graph.cost g i)
+            ~deviation ()
+        in
+        match
+          List.init (Graph.degree g i) (fun neighbor_index ->
+              Node.declared_cost_for node ~neighbor_index)
+        with
+        | c :: rest when List.for_all (Float.equal c) rest ->
+            declared := Graph.with_cost !declared i c
+        | _ -> ()
+      end)
+    deviations;
+  !declared
 
 let profit_tolerance = 1e-6
 
@@ -430,7 +450,7 @@ let grade ?(weaken = No_weaken) ?(obs = Obs.noop) descr =
       match full.Runner.tables with
       | None -> false
       | Some t ->
-          let oracle = Pricing.compute (declared_graph g descr.deviants) in
+          let oracle = Pricing.compute (declared_graph g deviations) in
           Tables.routing_equal t oracle && Tables.prices_equal t oracle
     in
     (* Unilateral baselines: deviant i against the same campaign with only

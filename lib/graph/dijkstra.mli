@@ -4,7 +4,8 @@
     nodes; endpoints are free. Ties are broken by a canonical total order —
     (cost, hop count, lexicographic node sequence) — chosen because it is
     preserved under path extension, so the distributed path-vector
-    computation ([Damd_fpss.Distributed]) converges to byte-identical tables.
+    computation ([Damd_fpss.Sparse], run over all destinations by
+    [Damd_fpss.Distributed]) converges to byte-identical tables.
     All searches are rooted at the destination, matching the direction BGP
     announcements travel. *)
 

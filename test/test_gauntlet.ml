@@ -286,6 +286,18 @@ let test_epsilon_agents_activate_on_weakened_bank () =
   check Alcotest.bool "some wrapper activated" true
     (List.exists snd gr.Campaign.epsilon_active)
 
+(* Campaign 4285784464683832136 (master seed 4 under --faults): torus
+   3x3, node 7 [byzantine-arbitrary(1367447748165548000)], whose plan
+   declares the same cost to every neighbor. That is a consistent
+   misreport, which the oracle must price at the declared cost; pricing
+   the true cost instead graded the campaign an integrity violation. *)
+let test_consistent_byzantine_declaration () =
+  let gr = Campaign.grade (Campaign.of_seed ~mix:mixed 4285784464683832136) in
+  check Alcotest.bool "not a violation" true
+    (gr.Campaign.verdict <> Campaign.Violation);
+  check (Alcotest.option Alcotest.bool) "tables match the declared oracle"
+    (Some true) gr.Campaign.tables_match
+
 let suites =
   [
     ( "gauntlet.campaign",
@@ -324,5 +336,7 @@ let suites =
           test_weakened_violation_replays_and_shrinks;
         Alcotest.test_case "epsilon activates on weakened bank" `Slow
           test_epsilon_agents_activate_on_weakened_bank;
+        Alcotest.test_case "consistent Byzantine declaration" `Quick
+          test_consistent_byzantine_declaration;
       ] );
   ]
